@@ -90,30 +90,33 @@ def _parse_instance(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     pos = 0
 
-    def take_graph() -> Graph:
+    def take_block() -> list[str]:
+        """Next header line, whose second token counts the lines after it."""
         nonlocal pos
-        n, m = (int(tok) for tok in lines[pos].split())
-        g = parse_edge_list("\n".join(lines[pos : pos + m + 1]))
-        pos += m + 1
-        return g
+        if pos == len(lines):
+            raise ValueError(f"instance bundle ends early after {pos} lines")
+        head = lines[pos].split()
+        count = int(head[1]) if len(head) == 2 else -1
+        if count < 0:
+            raise ValueError(f"bad block header in instance bundle: {lines[pos]!r}")
+        end = pos + 1 + count
+        if end > len(lines):
+            raise ValueError(
+                f"instance bundle ends early: {lines[pos]!r} announces {count} "
+                f"lines, {len(lines) - pos - 1} follow"
+            )
+        block, pos = lines[pos:end], end
+        return block
 
-    def take_cover(g: Graph) -> OrderedCliqueCover:
-        nonlocal pos
-        count = int(lines[pos].split()[1])
-        cover = OrderedCliqueCover(g, parse_cover_lines(lines[pos : pos + count + 1]))
-        pos += count + 1
-        return cover
-
-    g1 = take_graph()
-    c1 = take_cover(g1)
-    g2 = take_graph()
-    c2 = take_cover(g2)
-    head = lines[pos].split()
-    if head[0] != "shared":
-        raise ValueError(f"expected 'shared k' line, got {lines[pos]!r}")
-    k = int(head[1])
+    g1 = parse_edge_list("\n".join(take_block()))
+    c1 = OrderedCliqueCover(g1, parse_cover_lines(take_block()))
+    g2 = parse_edge_list("\n".join(take_block()))
+    c2 = OrderedCliqueCover(g2, parse_cover_lines(take_block()))
+    block = take_block()
+    if block[0].split()[0] != "shared":
+        raise ValueError(f"expected 'shared k' line, got {block[0]!r}")
     shared = {}
-    for ln in lines[pos + 1 : pos + 1 + k]:
+    for ln in block[1:]:
         u, v = (int(tok) for tok in ln.split())
         shared[u] = v
     return CliqueSumInstance(g1=g1, c1=c1, g2=g2, c2=c2, shared=shared)

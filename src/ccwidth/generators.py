@@ -72,8 +72,8 @@ def path_sum_instance(t: int) -> CliqueSumInstance:
     """Two paths on 2t+1 vertices glued at their middle vertices.
 
     Covers are optimal-witness covers from the exact solver; the size
-    limit is lifted internally because path partitions (matchings) stay
-    tiny at these sizes.
+    limit is lifted internally because a path has width-1 covers, which
+    the search finds almost without backtracking.
     """
     if t < 1:
         raise ValueError("path half-length t must be >= 1")

@@ -8,13 +8,17 @@ increasing vertex order, so the first complete placement found is the
 lexicographically smallest optimal ordering; results are therefore
 deterministic.
 
-Clique cover width enumerates every partition of V into cliques with a
-canonical restricted-growth scheme (vertex 0 opens class 0; each later
-vertex joins an existing class it is fully adjacent to, or opens one new
-class), takes the exact bandwidth of each partition's quotient graph,
-and keeps the minimum.  Canonical enumeration orders classes by their
-smallest vertex, which makes the lexicographically-smallest-witness tie
-break cheap: the lex-min quotient ordering is also the lex-min cover.
+Clique cover width runs the same kind of decision search one level up:
+for k = 0, 1, ... it builds an ordered clique cover left to right on
+vertex bitmasks, trying the cliques of the unplaced vertices in lex
+order of their sorted tuples and closing each clique once it leaves the
+window of the last k.  Failed (unplaced set, window) states are
+memoized within one decision, in the style of Saxe's frontier dynamic
+program for small bandwidth (SIAM J. Alg. Disc. Meth. 1(4), 1980).  The
+first k that succeeds is the clique cover width, and the first cover
+found is the lexicographically smallest optimal one.
+``iter_clique_partitions`` enumerates every clique partition for callers
+that need them all; the solver never does.
 
 Both solvers refuse graphs above a documented size limit unless the
 caller overrides it explicitly.
@@ -204,13 +208,89 @@ def _quotient_edges(g: Graph, classes: list[list[int]]) -> list[tuple[int, int]]
     return edges
 
 
+def _cliques_in_lex_order(
+    nbrs: list[int], cand: int, need: int, clique: int = 0, clique_nbrs: int = 0
+) -> Iterator[tuple[int, int]]:
+    """Cliques within ``cand`` that contain ``need``, as (mask, neighbor mask).
+
+    Extends ``clique`` by vertices of ``cand`` (all adjacent to every
+    member and above its largest vertex) in increasing order, yielding in
+    preorder, which is lex order of the cliques' sorted vertex tuples:
+    (0), (0, 1), (0, 1, 2), (0, 2), (1), ...
+    """
+    if need & ~cand:
+        return
+    if clique and not need:
+        yield clique, clique_nbrs
+    first_need = need & -need
+    while cand:
+        low = cand & -cand
+        if need and low > first_need:
+            return  # skipping a needed vertex
+        cand ^= low
+        w = low.bit_length() - 1
+        yield from _cliques_in_lex_order(
+            nbrs, cand & nbrs[w], need & ~low, clique | low, clique_nbrs | nbrs[w]
+        )
+
+
+def _ordered_cover_within(nbrs: list[int], k: int) -> list[int] | None:
+    """First (lex-smallest) ordered clique cover of width <= k, as bitmasks.
+
+    Builds the cover left to right.  The window holds the neighbor masks
+    of the last k cliques placed.  When a new clique pushes the oldest
+    one out, every unplaced neighbor of the leaving clique must lie in
+    the new clique; for k = 0 the new clique leaves at once, so it must
+    have no unplaced neighbors.  A clique thus leaves only once all its
+    neighbors are placed, so an unplaced vertex never touches a placed
+    one outside the window.  Whether a prefix completes depends only on
+    the unplaced set and the window's unplaced neighbors, so failed
+    states of that form are memoized for this call, packed n bits per
+    field into one int (the nonzero unplaced set on top fixes the
+    window's length).
+    """
+    n = len(nbrs)
+    cover: list[int] = []
+    failed: set[int] = set()
+
+    def extend(unplaced: int, window: tuple[int, ...]) -> bool:
+        if not unplaced:
+            return True
+        key = unplaced
+        for nb in window:
+            key = key << n | nb & unplaced
+        if key in failed:
+            return False
+        leaving = 1 if k and len(window) == k else 0
+        need = window[0] & unplaced if leaving else 0
+        for clique, clique_nbrs in _cliques_in_lex_order(nbrs, unplaced, need):
+            rest = unplaced & ~clique
+            if k:
+                after = window[leaving:] + (clique_nbrs,)
+            elif clique_nbrs & rest:
+                continue
+            else:
+                after = ()
+            cover.append(clique)
+            if extend(rest, after):
+                return True
+            cover.pop()
+        failed.add(key)
+        return False
+
+    if extend((1 << n) - 1, ()):
+        return cover
+    return None
+
+
 def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
     """Minimum cover width over all ordered clique covers, with a witness.
 
-    Enumerates clique partitions, solves the quotient bandwidth exactly
-    for each, and returns the smallest width together with the
-    lexicographically smallest witness cover (classes listed sorted, in
-    the optimal quotient ordering).
+    Decides "ccw <= k" for k = 0, 1, 2, ... with a memoized left-to-right
+    search over ordered clique covers; the first k that succeeds is the
+    clique cover width, and the cover found for it is the witness: the
+    lexicographically smallest optimal cover (cliques compared as
+    sorted tuples, in cover order).
     """
     if g.n < 1:
         raise ValueError("clique cover width requires at least one vertex")
@@ -219,31 +299,12 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
             f"graph has {g.n} vertices, above the clique-cover search limit "
             f"{limit}; pass a larger limit explicitly to override"
         )
-    best_value: int | None = None
-    best_cover: tuple[tuple[int, ...], ...] | None = None
-    for classes in iter_clique_partitions(g):
-        t1 = len(classes)
-        qedges = _quotient_edges(g, classes)
-        quotient = Graph(t1, qedges)
-        qlb = _bandwidth_lower_bound(quotient)
-        if best_value is not None and qlb > best_value:
-            continue
-        cap = t1 - 1 if best_value is None else best_value
-        found = _bandwidth_up_to(quotient, cap)
-        if found is None:
-            continue
-        value, qorder = found
-        candidate = tuple(tuple(classes[i]) for i in qorder)
-        if (
-            best_value is None
-            or value < best_value
-            or (value == best_value and candidate < best_cover)
-        ):
-            best_value = value
-            best_cover = candidate
-    assert best_value is not None and best_cover is not None
-    witness = OrderedCliqueCover(g, best_cover)
-    return CcwResult(best_value, witness)
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    k = 0
+    while (cover := _ordered_cover_within(nbrs, k)) is None:
+        k += 1
+    cliques = [[v for v in range(g.n) if mask >> v & 1] for mask in cover]
+    return CcwResult(k, OrderedCliqueCover(g, cliques))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's search code paths:
 bandwidth is minimized over raw permutations, clique cover width over an
 independent restricted-growth partition enumeration crossed with part
 permutations, and the scalar parameters over plain subset enumeration.
-They anchor the solvers' expected values.
+They anchor the solvers' expected values.  ``enumerate_ccw`` is the
+exception: it keeps the definition-following partition-plus-quotient
+solver as a witness oracle for the ordered-cover search.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from ccwidth import Graph, build_graph
+from hypothesis import strategies as st
+
+from ccwidth import Graph, build_graph, iter_clique_partitions
+from ccwidth.solvers import _bandwidth_lower_bound, _bandwidth_up_to, _quotient_edges
 
 
 def brute_bandwidth(g: Graph) -> int:
@@ -70,6 +75,39 @@ def brute_ccw(g: Graph) -> int:
     return best
 
 
+def enumerate_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """ccw and the lex-smallest optimal cover, by partition enumeration.
+
+    Solves the quotient bandwidth of every clique partition exactly and
+    keeps the smallest width, breaking ties by the lex-smallest cover
+    (classes as sorted tuples, in the optimal quotient ordering).
+    """
+    best_value: int | None = None
+    best_cover: tuple[tuple[int, ...], ...] | None = None
+    for classes in iter_clique_partitions(g):
+        t1 = len(classes)
+        qedges = _quotient_edges(g, classes)
+        quotient = Graph(t1, qedges)
+        qlb = _bandwidth_lower_bound(quotient)
+        if best_value is not None and qlb > best_value:
+            continue
+        cap = t1 - 1 if best_value is None else best_value
+        found = _bandwidth_up_to(quotient, cap)
+        if found is None:
+            continue
+        value, qorder = found
+        candidate = tuple(tuple(classes[i]) for i in qorder)
+        if (
+            best_value is None
+            or value < best_value
+            or (value == best_value and candidate < best_cover)
+        ):
+            best_value = value
+            best_cover = candidate
+    assert best_value is not None and best_cover is not None
+    return best_value, best_cover
+
+
 def brute_clique_number(g: Graph) -> int:
     best = 0
     for size in range(1, g.n + 1):
@@ -115,3 +153,12 @@ def all_labeled_graphs(n: int):
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         yield build_graph(n, edges)
+
+
+@st.composite
+def graphs(draw, min_n=1, max_n=6):
+    """Hypothesis strategy: a graph with each vertex pair drawn as edge or not."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])

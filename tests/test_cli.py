@@ -142,6 +142,17 @@ class TestComposeAndVerify:
         assert code == 1
         assert "bound violated" in err
 
+    def test_compose_rejects_truncated_instance(self, tmp_path, capsys, monkeypatch):
+        code, out, _ = run_cli(["gen", "--kind", "path-sum", "--t", "2"], capsys=capsys)
+        assert code == 0
+        bundle = tmp_path / "inst.txt"
+        bundle.write_text("".join(out.splitlines(keepends=True)[:5]))
+        code, out, err = run_cli(["compose", "--instance", str(bundle)], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: instance bundle ends early")
+        assert len(err.splitlines()) == 1
+
     def test_compose_requires_inputs(self, capsys, monkeypatch):
         code, _, err = run_cli(["compose"], capsys=capsys)
         assert code == 2

@@ -18,17 +18,7 @@ from ccwidth import (
     star_graph,
     star_number,
 )
-from conftest import brute_clique_number, brute_star_number, random_graph_corpus
-
-
-@st.composite
-def graphs(draw, min_n=1, max_n=6):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    if not pairs:
-        return build_graph(n, [])
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
-    return build_graph(n, edges)
+from conftest import brute_clique_number, brute_star_number, graphs, random_graph_corpus
 
 
 class TestBuildGraph:

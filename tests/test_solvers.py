@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from ccwidth import (
     LinearOrdering,
@@ -26,6 +27,8 @@ from conftest import (
     all_labeled_graphs,
     brute_bandwidth,
     brute_ccw,
+    enumerate_ccw,
+    graphs,
     random_graph_corpus,
 )
 
@@ -99,7 +102,7 @@ class TestIterCliquePartitions:
 
 class TestCcwExact:
     def test_complete_is_zero_with_single_clique(self):
-        for n in range(1, 7):
+        for n in (1, 2, 3, 4, 5, 6, 9):
             r = ccw_exact(complete_graph(n))
             assert r.value == 0
             assert r.witness.cliques == (frozenset(range(n)),)
@@ -144,6 +147,21 @@ class TestCcwExact:
     def test_deterministic(self):
         for g in random_graph_corpus("ccw-det", 30, 1, 6):
             assert ccw_exact(g) == ccw_exact(g)
+
+    def test_exhaustive_witnesses_up_to_five(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                r = ccw_exact(g)
+                assert (r.value, r.witness.as_sorted_tuples()) == enumerate_ccw(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=8))
+def test_ccw_matches_partition_enumeration(g):
+    r = ccw_exact(g)
+    assert (r.value, r.witness.as_sorted_tuples()) == enumerate_ccw(g)
+    if g.n <= 6:  # brute force tries every ordered partition: 545,835 at n = 8
+        assert r.value == brute_ccw(g)
 
 
 class TestInequalityCorpus:
