@@ -21,9 +21,16 @@ from .composition import (
     verify_certificate,
 )
 from .experiment import ExperimentConfig, run_experiment
-from .generators import generate
-from .graph import Graph, format_edge_list, parse_edge_list, star_number
-from .layout import OrderedCliqueCover, format_cover, parse_cover
+from .generators import CliqueSumInstance, generate
+from .graph import (
+    Graph,
+    LineReader,
+    format_edge_list,
+    parse_edge_list,
+    read_edge_list,
+    star_number,
+)
+from .layout import OrderedCliqueCover, format_cover, parse_cover, read_cover
 from .solvers import (
     DEFAULT_BW_LIMIT,
     DEFAULT_CCW_LIMIT,
@@ -69,7 +76,7 @@ def _parse_shared(text: str) -> dict[int, int]:
     return mapping
 
 
-def _format_instance(inst) -> str:
+def _format_instance(inst: CliqueSumInstance) -> str:
     shared_lines = "".join(
         f"{u} {v}\n" for u, v in sorted(inst.shared.items())
     )
@@ -83,42 +90,14 @@ def _format_instance(inst) -> str:
     )
 
 
-def _parse_instance(text: str):
-    from .generators import CliqueSumInstance
-    from .layout import parse_cover_lines
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    pos = 0
-
-    def take_block() -> list[str]:
-        """Next header line, whose second token counts the lines after it."""
-        nonlocal pos
-        if pos == len(lines):
-            raise ValueError(f"instance bundle ends early after {pos} lines")
-        head = lines[pos].split()
-        count = int(head[1]) if len(head) == 2 else -1
-        if count < 0:
-            raise ValueError(f"bad block header in instance bundle: {lines[pos]!r}")
-        end = pos + 1 + count
-        if end > len(lines):
-            raise ValueError(
-                f"instance bundle ends early: {lines[pos]!r} announces {count} "
-                f"lines, {len(lines) - pos - 1} follow"
-            )
-        block, pos = lines[pos:end], end
-        return block
-
-    g1 = parse_edge_list("\n".join(take_block()))
-    c1 = OrderedCliqueCover(g1, parse_cover_lines(take_block()))
-    g2 = parse_edge_list("\n".join(take_block()))
-    c2 = OrderedCliqueCover(g2, parse_cover_lines(take_block()))
-    block = take_block()
-    if block[0].split()[0] != "shared":
-        raise ValueError(f"expected 'shared k' line, got {block[0]!r}")
-    shared = {}
-    for ln in block[1:]:
-        u, v = (int(tok) for tok in ln.split())
-        shared[u] = v
+def _parse_instance(text: str) -> CliqueSumInstance:
+    """Read the instance bundle written by :func:`_format_instance`."""
+    r = LineReader(text, "instance bundle")
+    g1 = read_edge_list(r)
+    c1 = OrderedCliqueCover(g1, read_cover(r))
+    g2 = read_edge_list(r)
+    c2 = OrderedCliqueCover(g2, read_cover(r))
+    shared = dict(r.ints(2) for _ in range(r.expect("shared")))
     return CliqueSumInstance(g1=g1, c1=c1, g2=g2, c2=c2, shared=shared)
 
 
@@ -231,7 +210,6 @@ def _cmd_experiment(args) -> int:
         shared_max=args.shared_max,
         min_total_width=args.min_total_width,
         t_start=args.t_start,
-        bw_limit=args.limit_bw,
         ccw_limit=args.limit_ccw,
         out=None if args.out in (None, "-") else args.out,
     )
@@ -241,19 +219,22 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_limits(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--limit-bw",
-        type=int,
-        default=DEFAULT_BW_LIMIT,
-        help="bandwidth solver size limit (default %(default)s)",
-    )
-    parser.add_argument(
-        "--limit-ccw",
-        type=int,
-        default=DEFAULT_CCW_LIMIT,
-        help="clique cover width solver size limit (default %(default)s)",
-    )
+_LIMITS = {
+    "bw": (DEFAULT_BW_LIMIT, "bandwidth"),
+    "ccw": (DEFAULT_CCW_LIMIT, "clique cover width"),
+}
+
+
+def _add_limits(parser: argparse.ArgumentParser, *solvers: str) -> None:
+    """Add ``--limit-<solver>`` for each exact solver the subcommand runs."""
+    for solver in solvers:
+        default, name = _LIMITS[solver]
+        parser.add_argument(
+            f"--limit-{solver}",
+            type=int,
+            default=default,
+            help=f"{name} solver size limit (default %(default)s)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,19 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--shared-max", type=int, default=3)
     p.add_argument("--min-total-width", type=int, default=1)
-    p.add_argument("--limit-ccw", type=int, default=DEFAULT_CCW_LIMIT)
+    _add_limits(p, "ccw")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bw", help="exact bandwidth with witness ordering")
     p.add_argument("graph", help="edge-list file or - for stdin")
-    _add_limits(p)
+    _add_limits(p, "bw")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bw)
 
     p = sub.add_parser("ccw", help="exact clique cover width with witness cover")
     p.add_argument("graph")
-    _add_limits(p)
+    _add_limits(p, "ccw")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ccw)
 
@@ -308,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover2")
     p.add_argument("--shared", help="vertex map like '0=3,1=4'")
     p.add_argument("--check-claim", action="store_true")
-    _add_limits(p)
+    _add_limits(p, "ccw")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compose)
 
@@ -318,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-chain", help="check the width inequality chain")
     p.add_argument("graph")
-    _add_limits(p)
+    _add_limits(p, "bw", "ccw")
     p.set_defaults(func=_cmd_check_chain)
 
     p = sub.add_parser("experiment", help="run a seeded corpus, emit CSV")
@@ -332,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-max", type=int, default=3)
     p.add_argument("--min-total-width", type=int, default=1)
     p.add_argument("--t-start", type=int, default=1)
-    _add_limits(p)
+    _add_limits(p, "ccw")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_experiment)
 

@@ -49,18 +49,20 @@ from typing import Sequence, TypeVar
 
 from .graph import (
     Graph,
+    LineReader,
     clique_sum,
     clique_sum_map,
     format_edge_list,
     is_clique,
-    parse_edge_list,
+    read_edge_list,
 )
 from .layout import (
     CoverCheck,
     OrderedCliqueCover,
     cover_width,
     format_cover,
-    parse_cover_lines,
+    index_width,
+    read_cover,
     validate_cover,
 )
 from .solvers import SearchBudgetExceeded, _feasible_ordering, _quotient_edges
@@ -224,65 +226,36 @@ def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
     Used to compare widths before and after dropping emptied cliques;
     empty entries occupy an index but carry no edges.
     """
-    index_of: dict[int, int] = {}
-    for idx, cl in enumerate(cliques):
-        for v in cl:
-            index_of[v] = idx
-    width = 0
-    for u, v in g.edges():
-        gap = abs(index_of[u] - index_of[v])
-        if gap > width:
-            width = gap
-    return width
+    index_of = {v: idx for idx, cl in enumerate(cliques) for v in cl}
+    return index_width(g, index_of)
 
 
-def _materialized_skeleton(
+def _skeleton(
+    layout: InterleaveLayout,
     c1: OrderedCliqueCover,
     c2: OrderedCliqueCover,
     shared: dict[int, int],
     g2_map: dict[int, int],
-) -> tuple[list[frozenset[int]], InterleaveLayout]:
-    """Skeleton cliques with shared vertices deleted, in composed numbering.
+    keep_side: int = 0,
+) -> list[frozenset[int]]:
+    """Skeleton cliques of ``layout`` in composed numbering, S deleted.
 
     One entry per skeleton clique, possibly empty after the deletion.
+    With ``keep_side`` 1 or 2, shared vertices stay in that side's
+    original cliques and are deleted from the other side only.  That
+    still yields a partition (every shared vertex appears exactly once,
+    in a clique it already belonged to), which is a legal alternative to
+    extracting S when the new clique cannot satisfy all its neighbors
+    at once.
     """
-    s1 = frozenset(shared.keys())
-    s2 = frozenset(shared.values())
-    layout = interleaved_sequence(c1, c2, shared)
+    s1 = frozenset() if keep_side == 1 else frozenset(shared.keys())
+    s2 = frozenset() if keep_side == 2 else frozenset(shared.values())
     out: list[frozenset[int]] = []
     for src, idx in layout.seq:
         if src == 1:
-            out.append(frozenset(c1.cliques[idx] - s1))
+            out.append(c1.cliques[idx] - s1)
         else:
             out.append(frozenset(g2_map[v] for v in c2.cliques[idx] - s2))
-    return out, layout
-
-
-def _side_kept_skeleton(
-    c1: OrderedCliqueCover,
-    c2: OrderedCliqueCover,
-    shared: dict[int, int],
-    g2_map: dict[int, int],
-    keep_side: int,
-) -> list[frozenset[int]]:
-    """Skeleton with shared vertices kept in one side's original cliques.
-
-    Deleting S only from the other side still yields a partition (every
-    shared vertex appears exactly once, in a clique it already belonged
-    to), which is a legal alternative to extracting S when the new
-    clique cannot satisfy all its neighbors at once.
-    """
-    s1 = frozenset(shared.keys())
-    s2 = frozenset(shared.values())
-    layout = interleaved_sequence(c1, c2, shared)
-    out: list[frozenset[int]] = []
-    for src, idx in layout.seq:
-        if src == 1:
-            cl = c1.cliques[idx] if keep_side == 1 else c1.cliques[idx] - s1
-            out.append(frozenset(cl))
-        else:
-            cl = c2.cliques[idx] if keep_side == 2 else c2.cliques[idx] - s2
-            out.append(frozenset(g2_map[v] for v in cl))
     return out
 
 
@@ -300,8 +273,8 @@ def extraction_sequence(
     before and after compaction; cliques are already renumbered into the
     composed graph.
     """
-    raw, layout = _materialized_skeleton(c1, c2, shared, g2_map)
-    out = list(raw)
+    layout = interleaved_sequence(c1, c2, shared)
+    out = _skeleton(layout, c1, c2, shared, g2_map)
     out.insert(layout.block_start + layout.block_length // 2, frozenset(shared.keys()))
     return out
 
@@ -473,38 +446,32 @@ def compose_covers(
     g2_map = clique_sum_map(g1, g2, shared)
     w1 = cover_width(c1)
     w2 = cover_width(c2)
-
-    def tr1(cl: frozenset[int]) -> frozenset[int]:
-        return frozenset(cl)
+    s1 = frozenset(shared.keys())
+    s2 = frozenset(shared.values())
 
     def tr2(cl: frozenset[int]) -> frozenset[int]:
         return frozenset(g2_map[v] for v in cl)
 
     adjusted = False
     if not shared:
-        final = tuple(
-            [tr1(cl) for cl in c1.cliques] + [tr2(cl) for cl in c2.cliques]
-        )
+        final = tuple(list(c1.cliques) + [tr2(cl) for cl in c2.cliques])
         bound = max(w1, w2)
     elif (w1 == 0) != (w2 == 0):
-        s1 = frozenset(shared.keys())
-        s2 = frozenset(shared.values())
         if w1 == 0:
             raw, block, anchor, slots = _one_sided_zero_parts(
-                c1, c2, s1, s2, tr1, tr2
+                c1, c2, s1, s2, frozenset, tr2
             )
         else:
             raw, block, anchor, slots = _one_sided_zero_parts(
-                c2, c1, s2, s1, tr2, tr1
+                c2, c1, s2, s1, tr2, frozenset
             )
         bound = ceil_three_halves(w1 + w2)
         final = tuple(
             _place_with_absorption(composed, raw, block, slots, anchor, bound)
         )
     else:
-        s1 = frozenset(shared.keys())
-        s2 = frozenset(shared.values())
-        raw, layout = _materialized_skeleton(c1, c2, shared, g2_map)
+        layout = interleaved_sequence(c1, c2, shared)
+        raw = _skeleton(layout, c1, c2, shared, g2_map)
         anchor = layout.block_start + layout.block_length // 2
         homes1 = {c1.clique_index(v) for v in s1}
         homes2 = {c2.clique_index(v) for v in s2}
@@ -518,8 +485,8 @@ def compose_covers(
             bound += 1
             adjusted = True
         variants = [
-            _side_kept_skeleton(c1, c2, shared, g2_map, keep_side=1),
-            _side_kept_skeleton(c1, c2, shared, g2_map, keep_side=2),
+            _skeleton(layout, c1, c2, shared, g2_map, keep_side=side)
+            for side in (1, 2)
         ]
         final = tuple(
             _place_with_absorption(
@@ -642,37 +609,24 @@ def format_certificate(cert: WidthCertificate) -> str:
     )
 
 
-def parse_certificate(text: str) -> WidthCertificate:
-    """Parse a certificate file without validating it (the verifier does)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty certificate input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad edge-list header: {lines[0]!r}")
-    m = int(header[1])
-    graph = parse_edge_list("\n".join(lines[: m + 1]))
-    rest = lines[m + 1 :]
-    if not rest:
-        raise ValueError("certificate missing cover block")
-    count = int(rest[0].split()[1])
-    cliques = [frozenset(cl) for cl in parse_cover_lines(rest[: count + 1])]
-    tail = rest[count + 1 :]
-    values: dict[str, int] = {}
-    for key in ("w1", "w2", "bound", "achieved"):
-        if not tail:
-            raise ValueError(f"certificate missing '{key}' line")
-        parts = tail.pop(0).split()
-        if len(parts) != 2 or parts[0] != key:
-            raise ValueError(f"expected '{key} <int>' line, got {parts!r}")
-        values[key] = int(parts[1])
-    adjusted = values["bound"] > ceil_three_halves(values["w1"] + values["w2"])
+def read_certificate(r: LineReader) -> WidthCertificate:
+    """Certificate block: edge list, cover, then the four width lines."""
+    graph = read_edge_list(r)
+    cliques = tuple(frozenset(row) for row in read_cover(r))
+    w1, w2, bound, achieved = (
+        r.expect(key) for key in ("w1", "w2", "bound", "achieved")
+    )
     return WidthCertificate(
         graph=graph,
-        cliques=tuple(cliques),
-        w1=values["w1"],
-        w2=values["w2"],
-        bound=values["bound"],
-        achieved=values["achieved"],
-        bound_adjusted=adjusted,
+        cliques=cliques,
+        w1=w1,
+        w2=w2,
+        bound=bound,
+        achieved=achieved,
+        bound_adjusted=bound > ceil_three_halves(w1 + w2),
     )
+
+
+def parse_certificate(text: str) -> WidthCertificate:
+    """Parse a certificate file without validating it (the verifier does)."""
+    return read_certificate(LineReader(text, "certificate"))

@@ -21,7 +21,7 @@ from .generators import (
     path_sum_instance,
     random_clique_sum_instance,
 )
-from .solvers import DEFAULT_BW_LIMIT, DEFAULT_CCW_LIMIT, ccw_exact
+from .solvers import DEFAULT_CCW_LIMIT, ccw_exact
 
 CSV_HEADER = [
     "n1",
@@ -53,7 +53,6 @@ class ExperimentConfig:
     p_hi: float = 0.8
     min_total_width: int = 1
     t_start: int = 1
-    bw_limit: int = DEFAULT_BW_LIMIT
     ccw_limit: int = DEFAULT_CCW_LIMIT
     out: str | None = field(default=None, compare=False)
 

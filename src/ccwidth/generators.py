@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, build_graph, is_clique
+from .graph import Graph, is_clique
 from .layout import OrderedCliqueCover, cover_width
 from .solvers import DEFAULT_CCW_LIMIT, ccw_exact
 
@@ -22,20 +22,20 @@ from .solvers import DEFAULT_CCW_LIMIT, ccw_exact
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return build_graph(n, list(combinations(range(n), 2)))
+    return Graph(n, list(combinations(range(n), 2)))
 
 
 def star_graph(leaves: int) -> Graph:
     """Star with center 0 and the given number of leaves."""
     if leaves < 0:
         raise ValueError("leaf count must be nonnegative")
-    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -46,7 +46,7 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 @dataclass(frozen=True)

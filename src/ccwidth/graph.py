@@ -7,8 +7,9 @@ threads and to use as dict keys.
 
 Also provides the two NP-hard scalar parameters needed by the width
 inequalities (clique number and induced star number, both computed
-exactly), the clique sum of two graphs glued along a shared clique, and
-the plain-text edge-list format.
+exactly), the clique sum of two graphs glued along a shared clique, the
+plain-text edge-list format, and the line cursor that reads every text
+format of the package.
 """
 
 from __future__ import annotations
@@ -84,14 +85,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph, rejecting loops and out-of-range indices.
-
-    Duplicate edges (in either orientation) collapse to a single edge.
-    """
-    return Graph(n, edges)
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -220,6 +213,64 @@ def star_number(g: Graph) -> int:
     return best
 
 
+class LineReader:
+    """Cursor over the nonblank lines of one text input.
+
+    Every text format of the package is read as a sequence of blocks
+    through this cursor, so blank lines, header counts and early ends
+    are handled in one place.  Errors are ``ValueError`` naming the
+    input and the offending line; lines after the last block read are
+    ignored.
+    """
+
+    __slots__ = ("name", "_lines", "_pos")
+
+    def __init__(self, text: str, name: str):
+        self.name = name
+        self._lines = text.splitlines()
+        self._pos = 0  # index of the next line; the last line read is _pos - 1
+
+    def _next(self, wanted: str) -> str:
+        lines, pos = self._lines, self._pos
+        while pos < len(lines) and not lines[pos].strip():
+            pos += 1
+        if pos == len(lines):
+            raise ValueError(
+                f"{self.name} ends early: expected {wanted} after line {pos}"
+            )
+        self._pos = pos + 1
+        return lines[pos]
+
+    def error(self, problem: str) -> ValueError:
+        """A ``ValueError`` about the line read last."""
+        line = self._lines[self._pos - 1]
+        return ValueError(f"{self.name} line {self._pos}: {problem}, got {line!r}")
+
+    def expect(self, keyword: str) -> int:
+        """Read a ``keyword N`` line and return N, which must be >= 0."""
+        parts = self._next(f"'{keyword} N'").split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise self.error(f"expected '{keyword} N'")
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise self.error(f"expected '{keyword} N'") from None
+        if count < 0:
+            raise self.error("counts must be >= 0")
+        return count
+
+    def ints(self, count: int | None = None) -> list[int]:
+        """Read the next line's integers, exactly ``count`` of them if given."""
+        line = self._next("a line of integers")
+        try:
+            values = list(map(int, line.split()))
+        except ValueError:
+            raise self.error("expected integers") from None
+        if count is not None and len(values) != count:
+            raise self.error(f"expected {count} integers")
+        return values
+
+
 def format_edge_list(g: Graph) -> str:
     """Edge-list text format: "n m" then one "u v" line per edge, sorted."""
     lines = [f"{g.n} {g.edge_count}"]
@@ -227,21 +278,14 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_edge_list(r: LineReader) -> Graph:
+    """Edge-list block: an ``n m`` header, then m ``u v`` lines."""
+    n, m = r.ints(2)
+    if n < 0 or m < 0:
+        raise r.error("counts must be >= 0")
+    return Graph(n, [r.ints(2) for _ in range(m)])
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format produced by :func:`format_edge_list`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty edge-list input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad edge-list header: {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
-    if len(lines) - 1 < m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for ln in lines[1 : m + 1]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, edges)
+    return read_edge_list(LineReader(text, "edge list"))

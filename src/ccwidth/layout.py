@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, LineReader
 
 
 class LinearOrdering:
@@ -159,30 +159,32 @@ class OrderedCliqueCover:
         return f"OrderedCliqueCover({[sorted(c) for c in self.cliques]})"
 
 
+def index_width(g: Graph, index: Sequence[int] | dict[int, int]) -> int:
+    """Largest ``|index[u] - index[v]|`` over the edges uv of g, 0 if edgeless.
+
+    The one width primitive: orderings index vertices by position,
+    covers and clique sequences by the position of their clique.
+    """
+    width = 0
+    for u, v in g.edges():
+        gap = abs(index[u] - index[v])
+        if gap > width:
+            width = gap
+    return width
+
+
 def ordering_width(g: Graph, ordering: LinearOrdering | Sequence[int]) -> int:
     """Width of a linear ordering: max index gap over edges, 0 if edgeless."""
     if not isinstance(ordering, LinearOrdering):
         ordering = LinearOrdering(ordering)
     if len(ordering) != g.n:
         raise ValueError(f"ordering has {len(ordering)} entries, graph has {g.n}")
-    pos = ordering.position
-    width = 0
-    for u, v in g.edges():
-        gap = abs(pos[u] - pos[v])
-        if gap > width:
-            width = gap
-    return width
+    return index_width(g, ordering.position)
 
 
 def cover_width(c: OrderedCliqueCover) -> int:
     """Width of an ordered clique cover: max |j - i| over cross edges."""
-    idx = c._index_of
-    width = 0
-    for u, v in c.graph.edges():
-        gap = abs(idx[u] - idx[v])
-        if gap > width:
-            width = gap
-    return width
+    return index_width(c.graph, c._index_of)
 
 
 def cover_graph(c: OrderedCliqueCover) -> Graph:
@@ -204,23 +206,14 @@ def format_cover(cliques: Sequence[Iterable[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_cover_lines(lines: Sequence[str]) -> list[list[int]]:
-    """Parse cover-format lines into raw clique lists (no graph validation)."""
-    if not lines:
-        raise ValueError("empty cover input")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "cover":
-        raise ValueError(f"bad cover header: {lines[0]!r}")
-    count = int(head[1])
-    if len(lines) - 1 < count:
-        raise ValueError(f"expected {count} clique lines, got {len(lines) - 1}")
-    return [[int(tok) for tok in lines[i + 1].split()] for i in range(count)]
+def read_cover(r: LineReader) -> list[list[int]]:
+    """Cover block: ``cover N``, then N clique rows (no graph validation)."""
+    return [r.ints() for _ in range(r.expect("cover"))]
 
 
 def parse_cover(text: str, graph: Graph) -> OrderedCliqueCover:
     """Parse the cover text format and validate it against ``graph``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    return OrderedCliqueCover(graph, parse_cover_lines(lines))
+    return OrderedCliqueCover(graph, read_cover(LineReader(text, "cover")))
 
 
 def format_ordering(ordering: LinearOrdering) -> str:
@@ -232,17 +225,11 @@ def format_ordering(ordering: LinearOrdering) -> str:
     )
 
 
+def read_ordering(r: LineReader) -> LinearOrdering:
+    """Ordering block: ``ordering n``, then the permutation on one line."""
+    return LinearOrdering(r.ints(r.expect("ordering")))
+
+
 def parse_ordering(text: str) -> LinearOrdering:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty ordering input")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "ordering":
-        raise ValueError(f"bad ordering header: {lines[0]!r}")
-    n = int(head[1])
-    if len(lines) < 2:
-        raise ValueError("missing ordering line")
-    order = [int(tok) for tok in lines[1].split()]
-    if len(order) != n:
-        raise ValueError(f"expected {n} entries, got {len(order)}")
-    return LinearOrdering(order)
+    """Parse the ordering text format produced by :func:`format_ordering`."""
+    return read_ordering(LineReader(text, "ordering"))

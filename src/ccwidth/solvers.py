@@ -31,15 +31,7 @@ from math import ceil
 from typing import Iterator
 
 from .graph import Graph, clique_number, star_number
-from .layout import (
-    LinearOrdering,
-    OrderedCliqueCover,
-    cover_graph,
-    cover_width,
-    format_cover,
-    format_ordering,
-    ordering_width,
-)
+from .layout import LinearOrdering, OrderedCliqueCover, format_cover, format_ordering
 
 DEFAULT_BW_LIMIT = 12
 DEFAULT_CCW_LIMIT = 9
@@ -384,18 +376,3 @@ def format_bandwidth_result(result: BandwidthResult) -> str:
 def format_ccw_result(result: CcwResult) -> str:
     """Serialize as a "value k" header plus the cover block."""
     return f"value {result.value}\n" + format_cover(result.witness.cliques)
-
-
-def recheck_bandwidth_witness(g: Graph, result: BandwidthResult) -> bool:
-    """Independent witness check: the ordering reproduces the claimed value."""
-    return ordering_width(g, result.witness) == result.value
-
-
-def recheck_ccw_witness(g: Graph, result: CcwResult) -> bool:
-    """Independent witness check through the public quotient route."""
-    if result.witness.graph != g:
-        return False
-    if cover_width(result.witness) != result.value:
-        return False
-    quotient = cover_graph(result.witness)
-    return ordering_width(quotient, LinearOrdering.identity(quotient.n)) == result.value

@@ -110,14 +110,6 @@ def partition_around_block(c: OrderedCliqueCover, b: Strip) -> StripPartition:
     return StripPartition(tuple(parts), block_index)
 
 
-def strip_distance(p: StripPartition, i: int, j: int) -> int:
-    """Distance |j - i| between two strips of the partition."""
-    for idx in (i, j):
-        if not 0 <= idx < len(p.parts):
-            raise ValueError(f"strip index {idx} out of range")
-    return abs(j - i)
-
-
 def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> Strip:
     """Smallest window of cliques containing the clique ``s``, at block size.
 

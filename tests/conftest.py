@@ -16,7 +16,7 @@ import random
 
 from hypothesis import strategies as st
 
-from ccwidth import Graph, build_graph, iter_clique_partitions
+from ccwidth import Graph, iter_clique_partitions
 from ccwidth.solvers import _bandwidth_lower_bound, _bandwidth_up_to, _quotient_edges
 
 
@@ -143,7 +143,7 @@ def random_graph_corpus(seed: str, count: int, n_lo: int, n_hi: int):
             for v in range(u + 1, n)
             if rng.random() < p
         ]
-        out.append(build_graph(n, edges))
+        out.append(Graph(n, edges))
     return out
 
 
@@ -152,7 +152,7 @@ def all_labeled_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        yield build_graph(n, edges)
+        yield Graph(n, edges)
 
 
 @st.composite
@@ -161,4 +161,4 @@ def graphs(draw, min_n=1, max_n=6):
     n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])

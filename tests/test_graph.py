@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwidth import (
-    build_graph,
+    Graph,
     clique_number,
     clique_sum,
     clique_sum_map,
@@ -23,33 +23,33 @@ from conftest import brute_clique_number, brute_star_number, graphs, random_grap
 
 class TestBuildGraph:
     def test_path(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         assert g.n == 3
         assert g.edges() == [(0, 1), (1, 2)]
         assert g.degree(1) == 2
 
     def test_single_vertex(self):
-        g = build_graph(1, [])
+        g = Graph(1, [])
         assert g.n == 1
         assert g.degree(0) == 0
 
     def test_duplicate_edges_collapse(self):
-        g = build_graph(4, [(0, 1), (0, 1), (1, 0)])
+        g = Graph(4, [(0, 1), (0, 1), (1, 0)])
         assert g.edges() == [(0, 1)]
         assert g.edge_count == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
-            build_graph(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            build_graph(3, [(0, 3)])
+            Graph(3, [(0, 3)])
         with pytest.raises(ValueError):
-            build_graph(2, [(-1, 0)])
+            Graph(2, [(-1, 0)])
 
     def test_adjacency_symmetric(self):
-        g = build_graph(5, [(0, 3), (2, 4), (1, 3)])
+        g = Graph(5, [(0, 3), (2, 4), (1, 3)])
         for u in range(5):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
@@ -97,7 +97,7 @@ class TestCliqueSum:
         # identifying on all of V requires V to be a clique on both sides
         g = complete_graph(4)
         assert clique_sum(g, g, {v: v for v in range(4)}) == g
-        ring = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        ring = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(ValueError):
             clique_sum(ring, ring, {v: v for v in range(4)})
 
@@ -128,7 +128,7 @@ class TestCliqueSum:
     def test_vertex_numbering(self):
         # g1 vertices keep indices; unshared g2 vertices appended in order
         g1 = complete_graph(3)
-        g2 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        g2 = Graph(4, [(0, 1), (1, 2), (2, 3)])
         mapping = clique_sum_map(g1, g2, {2: 1})
         assert mapping == {0: 3, 1: 2, 2: 4, 3: 5}
 
@@ -154,7 +154,7 @@ def _random_graph(rng, n):
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
     ]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def _random_shared_clique(rng, g1, g2):
@@ -186,7 +186,7 @@ class TestCliqueNumber:
         assert clique_number(path_graph(4)) == 2
 
     def test_empty_graph(self):
-        assert clique_number(build_graph(0, [])) == 0
+        assert clique_number(Graph(0, [])) == 0
 
     def test_four_leaf_star_from_path_sum(self):
         s = clique_sum(path_graph(3), path_graph(3), {1: 1})
@@ -217,11 +217,11 @@ class TestStarNumber:
             assert star_number(complete_graph(n)) == 1
 
     def test_edgeless(self):
-        assert star_number(build_graph(3, [])) == 0
+        assert star_number(Graph(3, [])) == 0
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            star_number(build_graph(0, []))
+            star_number(Graph(0, []))
 
     def test_exhaustive_small(self):
         from conftest import all_labeled_graphs
@@ -249,13 +249,13 @@ class TestStarNumber:
 
 class TestEdgeListFormat:
     def test_round_trip(self):
-        g = build_graph(5, [(0, 4), (1, 2), (0, 1)])
+        g = Graph(5, [(0, 4), (1, 2), (0, 1)])
         text = format_edge_list(g)
         assert text.splitlines()[0] == "5 3"
         assert parse_edge_list(text) == g
 
     def test_sorted_edges(self):
-        g = build_graph(4, [(3, 2), (1, 0), (2, 0)])
+        g = Graph(4, [(3, 2), (1, 0), (2, 0)])
         assert format_edge_list(g) == "4 3\n0 1\n0 2\n2 3\n"
 
     def test_format_errors(self):

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwidth import (
+    Graph,
     LinearOrdering,
     OrderedCliqueCover,
-    build_graph,
     complete_graph,
     cover_graph,
     cover_width,
@@ -43,7 +43,7 @@ class TestOrderingWidth:
         assert ordering_width(complete_graph(3), [1, 2, 0]) == 2
 
     def test_edgeless(self):
-        assert ordering_width(build_graph(3, []), [2, 0, 1]) == 0
+        assert ordering_width(Graph(3, []), [2, 0, 1]) == 0
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -178,7 +178,7 @@ def test_cover_width_reversal_property(n, data):
     edges = (
         data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     )
-    g = build_graph(n, edges)
+    g = Graph(n, edges)
     parts = list(iter_clique_partitions(g))
     choice = parts[data.draw(st.integers(0, len(parts) - 1))]
     c = OrderedCliqueCover(g, choice)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from ccwidth import (
+    Graph,
     LinearOrdering,
     bandwidth_exact,
-    build_graph,
     ccw_exact,
     check_inequality_chain,
     clique_number,
@@ -51,10 +51,10 @@ class TestBandwidthExact:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            bandwidth_exact(build_graph(0, []))
+            bandwidth_exact(Graph(0, []))
 
     def test_limit(self):
-        g = build_graph(13, [(i, i + 1) for i in range(12)])
+        g = Graph(13, [(i, i + 1) for i in range(12)])
         with pytest.raises(ValueError, match="limit"):
             bandwidth_exact(g)
         assert bandwidth_exact(g, limit=13).value == 1
@@ -119,10 +119,10 @@ class TestCcwExact:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            ccw_exact(build_graph(0, []))
+            ccw_exact(Graph(0, []))
 
     def test_limit(self):
-        g = build_graph(10, [])
+        g = Graph(10, [])
         with pytest.raises(ValueError, match="limit"):
             ccw_exact(g)
         assert ccw_exact(g, limit=10).value == 0

@@ -3,17 +3,16 @@ import random
 import pytest
 
 from ccwidth import (
+    Graph,
     OrderedCliqueCover,
     Strip,
     block_size,
-    build_graph,
     complete_graph,
     cover_width,
     iter_clique_partitions,
     locate_enclosing_block,
     partition_around_block,
     path_graph,
-    strip_distance,
 )
 from conftest import random_graph_corpus
 
@@ -27,7 +26,7 @@ def _chain_cover(num_cliques: int, width: int):
     edges = [(i, i + 1) for i in range(n - 1)]
     if width > 1:
         edges.append((0, width))
-    g = build_graph(n, edges)
+    g = Graph(n, edges)
     c = OrderedCliqueCover(g, [{i} for i in range(n)])
     assert cover_width(c) == width
     return c
@@ -120,25 +119,6 @@ class TestPartitionAroundBlock:
                 self._assert_partition_invariants(c, p)
 
 
-class TestStripDistance:
-    def test_same_strip(self):
-        c = _chain_cover(5, 2)
-        p = partition_around_block(c, Strip(1, 2))
-        assert strip_distance(p, 1, 1) == 0
-
-    def test_distance_and_symmetry(self):
-        c = _chain_cover(7, 2)
-        p = partition_around_block(c, Strip(2, 2))
-        assert strip_distance(p, 0, 2) == 2
-        assert strip_distance(p, 2, 0) == 2
-
-    def test_rejects_bad_index(self):
-        c = _chain_cover(5, 2)
-        p = partition_around_block(c, Strip(1, 2))
-        with pytest.raises(ValueError):
-            strip_distance(p, 0, 5)
-
-
 class TestLocateEnclosingBlock:
     def test_single_clique_window(self):
         c = OrderedCliqueCover(path_graph(5), [{0, 1}, {2, 3}, {4}])
@@ -146,7 +126,7 @@ class TestLocateEnclosingBlock:
 
     def test_span_equals_block_size(self):
         # width-2 cover where the set straddles two neighboring cliques
-        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
         c = OrderedCliqueCover(g, [{0}, {1}, {2}, {3}, {4}, {5}])
         assert cover_width(c) == 2
         assert locate_enclosing_block(c, {2, 3}) == Strip(2, 2)
