@@ -59,14 +59,15 @@ from .graph import (
 from .layout import (
     CoverCheck,
     OrderedCliqueCover,
+    cover_graph,
     cover_width,
     format_cover,
     index_width,
     read_cover,
     validate_cover,
 )
-from .solvers import SearchBudgetExceeded, _feasible_ordering, _quotient_edges
-from .strips import Strip, block_size, partition_around_block
+from .solvers import SearchBudgetExceeded, _ordered_cover_within
+from .strips import Strip, block_size, locate_enclosing_block, partition_around_block
 
 T = TypeVar("T")
 
@@ -114,30 +115,14 @@ class InterleaveLayout:
 def _anchor_block(c: OrderedCliqueCover, vs: frozenset[int]) -> Strip:
     """Block-sized window anchored on the cliques meeting ``vs``.
 
-    When the window spans one clique more than a block can hold, keeps
-    the block-sized sub-window covering the most cliques that meet
-    ``vs`` (the left one on ties); the remaining clique then sits
-    immediately outside the anchor.
+    When the enclosing window spans w + 1 cliques, one more than a block
+    can hold, keeps its left w cliques; the last clique then sits
+    immediately outside the anchor.  Both ends of such a window meet
+    ``vs``, so either w-clique sub-window covers the same number of the
+    cliques meeting it, and the left one is the tie-break.
     """
-    hits = sorted({c.clique_index(v) for v in vs})
-    lo, hi = hits[0], hits[-1]
-    w = block_size(c)
-    span = hi - lo + 1
-    if span <= w:
-        t1 = c.size
-        while hi - lo + 1 < w:
-            if hi < t1 - 1:
-                hi += 1
-            elif lo > 0:
-                lo -= 1
-            else:
-                break
-        return Strip(lo, hi - lo + 1)
-    left_count = sum(1 for h in hits if h <= lo + w - 1)
-    right_count = sum(1 for h in hits if h >= lo + 1)
-    if right_count > left_count:
-        return Strip(lo + 1, w)
-    return Strip(lo, w)
+    block = locate_enclosing_block(c, vs)
+    return Strip(block.start, min(block.length, block_size(c)))
 
 
 def interleaved_sequence(
@@ -149,7 +134,8 @@ def interleaved_sequence(
 
     Returns the flattened sequence of tagged cliques in which every
     clique of c1 and of c2 appears exactly once, cliques of each source
-    in their original relative order.
+    in their original relative order.  Raises ``ValueError`` unless the
+    shared set is nonempty and a clique on both sides.
     """
     if not shared:
         raise ValueError("interleaved sequence requires a nonempty shared set")
@@ -259,26 +245,6 @@ def _skeleton(
     return out
 
 
-def extraction_sequence(
-    c1: OrderedCliqueCover,
-    c2: OrderedCliqueCover,
-    shared: dict[int, int],
-    g2_map: dict[int, int],
-) -> list[frozenset[int]]:
-    """Nominal fix-up of the interleaved sequence, before compaction.
-
-    Inserts the new shared-set clique at the middle of the block segment
-    and deletes shared vertices from every other clique.  Entries that
-    became empty are kept (as empty sets) so callers can compare widths
-    before and after compaction; cliques are already renumbered into the
-    composed graph.
-    """
-    layout = interleaved_sequence(c1, c2, shared)
-    out = _skeleton(layout, c1, c2, shared, g2_map)
-    out.insert(layout.block_start + layout.block_length // 2, frozenset(shared.keys()))
-    return out
-
-
 def _best_insertion(
     g: Graph,
     raw: Sequence[frozenset[int]],
@@ -378,15 +344,15 @@ def _reorder_within_bound(
     g: Graph, cliques: list[frozenset[int]], bound: int
 ) -> list[frozenset[int]] | None:
     """Reorder a clique set to width <= bound, if a capped search finds one."""
-    classes = [sorted(cl) for cl in cliques]
-    quotient = Graph(len(classes), _quotient_edges(g, classes))
+    quotient = cover_graph(OrderedCliqueCover(g, cliques))
+    nbrs = [quotient.neighbor_bits(i) for i in range(quotient.n)]
     try:
-        order = _feasible_ordering(quotient, bound, max_nodes=500_000)
+        order = _ordered_cover_within(nbrs, bound, cap=1, max_failed=100_000)
     except SearchBudgetExceeded:
         return None
     if order is None:
         return None
-    return [cliques[i] for i in order]
+    return [cliques[m.bit_length() - 1] for m in order]
 
 
 def _one_sided_zero_parts(

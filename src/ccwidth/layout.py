@@ -166,10 +166,15 @@ def index_width(g: Graph, index: Sequence[int] | dict[int, int]) -> int:
     covers and clique sequences by the position of their clique.
     """
     width = 0
-    for u, v in g.edges():
-        gap = abs(index[u] - index[v])
-        if gap > width:
-            width = gap
+    for u, nbrs in enumerate(g.adjacency):
+        if not nbrs:
+            continue  # isolated vertices need no index
+        iu = index[u]
+        for v in nbrs:
+            if v > u:
+                gap = abs(iu - index[v])
+                if gap > width:
+                    width = gap
     return width
 
 

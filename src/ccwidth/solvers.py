@@ -1,22 +1,20 @@
 """Exact bandwidth and clique cover width solvers for desk-scale graphs.
 
-Bandwidth is found by iterating a decision search: for k = lb, lb+1, ...
-try to place vertices position by position, abandoning a prefix as soon
-as a placed edge exceeds k or a placed vertex can no longer fit its
-unplaced neighbors inside its window.  Candidates are tried in
-increasing vertex order, so the first complete placement found is the
-lexicographically smallest optimal ordering; results are therefore
-deterministic.
-
-Clique cover width runs the same kind of decision search one level up:
-for k = 0, 1, ... it builds an ordered clique cover left to right on
-vertex bitmasks, trying the cliques of the unplaced vertices in lex
-order of their sorted tuples and closing each clique once it leaves the
-window of the last k.  Failed (unplaced set, window) states are
-memoized within one decision, in the style of Saxe's frontier dynamic
-program for small bandwidth (SIAM J. Alg. Disc. Meth. 1(4), 1980).  The
-first k that succeeds is the clique cover width, and the first cover
-found is the lexicographically smallest optimal one.
+Both widths come from one decision search.  A linear ordering is an
+ordered clique cover whose cliques are single vertices, with the same
+width, so "bandwidth <= k" and "ccw <= k" are both answered by building
+an ordered cover left to right on vertex bitmasks, with cliques of at
+most one vertex for bandwidth and of any size for ccw.  Candidate
+cliques of the unplaced vertices are tried in lex order of their sorted
+tuples, and each clique is closed once it leaves the window of the last
+k; with one-vertex cliques a prefix is also abandoned once a window
+entry can no longer fit its unplaced neighbors before it leaves.
+Failed (unplaced set, window) states are memoized within one decision,
+in the style of Saxe's frontier dynamic program for small bandwidth
+(SIAM J. Alg. Disc. Meth. 1(4), 1980).  The k loop starts at
+ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the first k that
+succeeds is the width, and the first cover found is the lexicographically
+smallest optimal ordering or cover, so results are deterministic.
 ``iter_clique_partitions`` enumerates every clique partition for callers
 that need them all; the solver never does.
 
@@ -50,82 +48,7 @@ class CcwResult:
 
 
 class SearchBudgetExceeded(Exception):
-    """Raised when a capped decision search runs out of nodes."""
-
-
-def _feasible_ordering(
-    g: Graph, k: int, max_nodes: int | None = None
-) -> list[int] | None:
-    """First (lex-smallest) ordering of width <= k found by pruned DFS.
-
-    ``max_nodes`` caps the number of search nodes; exceeding it raises
-    :class:`SearchBudgetExceeded` (used by best-effort callers, never by
-    the exact solvers).
-    """
-    n = g.n
-    order: list[int] = []
-    pos_of = [-1] * n
-    unplaced_nbrs = [g.degree(v) for v in range(n)]
-    budget = [max_nodes if max_nodes is not None else -1]
-
-    def place(p: int) -> bool:
-        if budget[0] == 0:
-            raise SearchBudgetExceeded
-        budget[0] -= 1
-        if p == n:
-            return True
-        # A vertex whose window closed must have no unplaced neighbors.
-        if p - k - 1 >= 0 and unplaced_nbrs[order[p - k - 1]] > 0:
-            return False
-        for u in order:
-            un = unplaced_nbrs[u]
-            if un and un > pos_of[u] + k - p + 1:
-                return False
-        for v in range(n):
-            if pos_of[v] != -1:
-                continue
-            ok = True
-            for u in g.neighbors(v):
-                q = pos_of[u]
-                if q != -1 and p - q > k:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            pos_of[v] = p
-            order.append(v)
-            for u in g.neighbors(v):
-                unplaced_nbrs[u] -= 1
-            if place(p + 1):
-                return True
-            for u in g.neighbors(v):
-                unplaced_nbrs[u] += 1
-            order.pop()
-            pos_of[v] = -1
-        return False
-
-    if place(0):
-        return order
-    return None
-
-
-def _bandwidth_lower_bound(g: Graph) -> int:
-    lb = 0
-    for v in range(g.n):
-        lb = max(lb, ceil(g.degree(v) / 2))
-    return lb
-
-
-def _bandwidth_up_to(g: Graph, cap: int) -> tuple[int, list[int]] | None:
-    """Exact bandwidth if it is <= cap, else None."""
-    if g.n == 0:
-        return (0, [])
-    lo = _bandwidth_lower_bound(g)
-    for k in range(lo, min(cap, g.n - 1) + 1):
-        order = _feasible_ordering(g, k)
-        if order is not None:
-            return k, order
-    return None
+    """Raised when a capped decision search memoizes too many failed states."""
 
 
 def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> BandwidthResult:
@@ -142,10 +65,9 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
             f"graph has {g.n} vertices, above the bandwidth search limit "
             f"{limit}; pass a larger limit explicitly to override"
         )
-    found = _bandwidth_up_to(g, g.n - 1)
-    assert found is not None
-    value, order = found
-    return BandwidthResult(value, LinearOrdering(order))
+    start = max(ceil(g.degree(v) / 2) for v in range(g.n))
+    value, cover = _least_width_cover(g, start, cap=1)
+    return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
 
 
 def iter_clique_partitions(g: Graph) -> Iterator[list[list[int]]]:
@@ -184,36 +106,27 @@ def iter_clique_partitions(g: Graph) -> Iterator[list[list[int]]]:
     yield from assign(0)
 
 
-def _quotient_edges(g: Graph, classes: list[list[int]]) -> list[tuple[int, int]]:
-    bits = [sum(1 << v for v in cl) for cl in classes]
-    nbr = []
-    for cl in classes:
-        acc = 0
-        for v in cl:
-            acc |= g.neighbor_bits(v)
-        nbr.append(acc)
-    edges = []
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if nbr[i] & bits[j]:
-                edges.append((i, j))
-    return edges
-
-
 def _cliques_in_lex_order(
-    nbrs: list[int], cand: int, need: int, clique: int = 0, clique_nbrs: int = 0
+    nbrs: list[int],
+    cand: int,
+    need: int,
+    room: int,
+    clique: int = 0,
+    clique_nbrs: int = 0,
 ) -> Iterator[tuple[int, int]]:
     """Cliques within ``cand`` that contain ``need``, as (mask, neighbor mask).
 
-    Extends ``clique`` by vertices of ``cand`` (all adjacent to every
-    member and above its largest vertex) in increasing order, yielding in
-    preorder, which is lex order of the cliques' sorted vertex tuples:
-    (0), (0, 1), (0, 1, 2), (0, 2), (1), ...
+    Extends ``clique`` by at most ``room`` vertices of ``cand`` (all
+    adjacent to every member and above its largest vertex) in increasing
+    order, yielding in preorder, which is lex order of the cliques'
+    sorted vertex tuples: (0), (0, 1), (0, 1, 2), (0, 2), (1), ...
     """
     if need & ~cand:
         return
     if clique and not need:
         yield clique, clique_nbrs
+    if not room:
+        return
     first_need = need & -need
     while cand:
         low = cand & -cand
@@ -222,32 +135,51 @@ def _cliques_in_lex_order(
         cand ^= low
         w = low.bit_length() - 1
         yield from _cliques_in_lex_order(
-            nbrs, cand & nbrs[w], need & ~low, clique | low, clique_nbrs | nbrs[w]
+            nbrs,
+            cand & nbrs[w],
+            need & ~low,
+            room - 1,
+            clique | low,
+            clique_nbrs | nbrs[w],
         )
 
 
-def _ordered_cover_within(nbrs: list[int], k: int) -> list[int] | None:
+def _ordered_cover_within(
+    nbrs: list[int], k: int, cap: int, max_failed: int | None = None
+) -> list[int] | None:
     """First (lex-smallest) ordered clique cover of width <= k, as bitmasks.
 
-    Builds the cover left to right.  The window holds the neighbor masks
-    of the last k cliques placed.  When a new clique pushes the oldest
-    one out, every unplaced neighbor of the leaving clique must lie in
-    the new clique; for k = 0 the new clique leaves at once, so it must
-    have no unplaced neighbors.  A clique thus leaves only once all its
-    neighbors are placed, so an unplaced vertex never touches a placed
-    one outside the window.  Whether a prefix completes depends only on
-    the unplaced set and the window's unplaced neighbors, so failed
-    states of that form are memoized for this call, packed n bits per
-    field into one int (the nonzero unplaced set on top fixes the
-    window's length).
+    Cliques hold at most ``cap`` vertices: with ``cap`` 1 the cover is a
+    linear ordering and its width the ordering's bandwidth, with ``cap``
+    n the cliques are unbounded.  Builds the cover left to right.  The
+    window holds the neighbor masks of the last k cliques placed.  When a
+    new clique pushes the oldest one out, every unplaced neighbor of the
+    leaving clique must lie in the new clique; for k = 0 the new clique
+    leaves at once, so it must have no unplaced neighbors.  A clique thus
+    leaves only once all its neighbors are placed, so an unplaced vertex
+    never touches a placed one outside the window.  With bounded cliques
+    a prefix is also abandoned once the unplaced neighbors of some window
+    entry outnumber the room in the cliques still to come before it
+    leaves.  Whether a prefix completes depends only on the unplaced set
+    and the window's unplaced neighbors, so failed states of that form
+    are memoized for this call, packed n bits per field into one int
+    (the nonzero unplaced set on top fixes the window's length).  More
+    than ``max_failed`` of them raise :class:`SearchBudgetExceeded`.
     """
     n = len(nbrs)
+    bounded = cap < n
     cover: list[int] = []
     failed: set[int] = set()
 
     def extend(unplaced: int, window: tuple[int, ...]) -> bool:
         if not unplaced:
             return True
+        if bounded:
+            room = (k - len(window) + 1) * cap
+            for nb in window:
+                if (nb & unplaced).bit_count() > room:
+                    return False
+                room += cap
         key = unplaced
         for nb in window:
             key = key << n | nb & unplaced
@@ -255,7 +187,7 @@ def _ordered_cover_within(nbrs: list[int], k: int) -> list[int] | None:
             return False
         leaving = 1 if k and len(window) == k else 0
         need = window[0] & unplaced if leaving else 0
-        for clique, clique_nbrs in _cliques_in_lex_order(nbrs, unplaced, need):
+        for clique, clique_nbrs in _cliques_in_lex_order(nbrs, unplaced, need, cap):
             rest = unplaced & ~clique
             if k:
                 after = window[leaving:] + (clique_nbrs,)
@@ -267,12 +199,23 @@ def _ordered_cover_within(nbrs: list[int], k: int) -> list[int] | None:
             if extend(rest, after):
                 return True
             cover.pop()
+        if len(failed) == max_failed:
+            raise SearchBudgetExceeded
         failed.add(key)
         return False
 
     if extend((1 << n) - 1, ()):
         return cover
     return None
+
+
+def _least_width_cover(g: Graph, start: int, cap: int) -> tuple[int, list[int]]:
+    """Least k >= start with an ordered cover of width <= k, and that cover."""
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    k = start
+    while (cover := _ordered_cover_within(nbrs, k, cap)) is None:
+        k += 1
+    return k, cover
 
 
 def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
@@ -291,12 +234,9 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
             f"graph has {g.n} vertices, above the clique-cover search limit "
             f"{limit}; pass a larger limit explicitly to override"
         )
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
-    k = 0
-    while (cover := _ordered_cover_within(nbrs, k)) is None:
-        k += 1
+    value, cover = _least_width_cover(g, 0, cap=g.n)
     cliques = [[v for v in range(g.n) if mask >> v & 1] for mask in cover]
-    return CcwResult(k, OrderedCliqueCover(g, cliques))
+    return CcwResult(value, OrderedCliqueCover(g, cliques))
 
 
 @dataclass(frozen=True)

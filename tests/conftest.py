@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's search code paths:
 bandwidth is minimized over raw permutations, clique cover width over an
 independent restricted-growth partition enumeration crossed with part
 permutations, and the scalar parameters over plain subset enumeration.
-They anchor the solvers' expected values.  ``enumerate_ccw`` is the
-exception: it keeps the definition-following partition-plus-quotient
-solver as a witness oracle for the ordered-cover search.
+They anchor the solvers' expected values.  ``dfs_bandwidth`` and
+``enumerate_ccw`` are the exception: they keep the position-by-position
+bandwidth DFS and the definition-following partition-plus-quotient
+solver as witness oracles for the ordered-cover search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import random
 from hypothesis import strategies as st
 
 from ccwidth import Graph, iter_clique_partitions
-from ccwidth.solvers import _bandwidth_lower_bound, _bandwidth_up_to, _quotient_edges
 
 
 def brute_bandwidth(g: Graph) -> int:
@@ -75,6 +75,83 @@ def brute_ccw(g: Graph) -> int:
     return best
 
 
+def feasible_ordering(g: Graph, k: int) -> list[int] | None:
+    """First (lex-smallest) ordering of width <= k found by pruned DFS."""
+    n = g.n
+    order: list[int] = []
+    pos_of = [-1] * n
+    unplaced_nbrs = [g.degree(v) for v in range(n)]
+
+    def place(p: int) -> bool:
+        if p == n:
+            return True
+        # A vertex whose window closed must have no unplaced neighbors.
+        if p - k - 1 >= 0 and unplaced_nbrs[order[p - k - 1]] > 0:
+            return False
+        for u in order:
+            un = unplaced_nbrs[u]
+            if un and un > pos_of[u] + k - p + 1:
+                return False
+        for v in range(n):
+            if pos_of[v] != -1:
+                continue
+            ok = True
+            for u in g.neighbors(v):
+                q = pos_of[u]
+                if q != -1 and p - q > k:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            pos_of[v] = p
+            order.append(v)
+            for u in g.neighbors(v):
+                unplaced_nbrs[u] -= 1
+            if place(p + 1):
+                return True
+            for u in g.neighbors(v):
+                unplaced_nbrs[u] += 1
+            order.pop()
+            pos_of[v] = -1
+        return False
+
+    if place(0):
+        return order
+    return None
+
+
+def dfs_bandwidth(g: Graph, cap: int | None = None) -> tuple[int, list[int]] | None:
+    """Bandwidth and the lex-smallest optimal ordering, if the width is <= cap.
+
+    Tries k = ceil(maxdeg / 2), ... with :func:`feasible_ordering`.
+    """
+    if g.n == 0:
+        return (0, [])
+    lo = max(-(-g.degree(v) // 2) for v in range(g.n))
+    hi = g.n - 1 if cap is None else min(cap, g.n - 1)
+    for k in range(lo, hi + 1):
+        order = feasible_ordering(g, k)
+        if order is not None:
+            return k, order
+    return None
+
+
+def quotient_edges(g: Graph, classes: list[list[int]]) -> list[tuple[int, int]]:
+    bits = [sum(1 << v for v in cl) for cl in classes]
+    nbr = []
+    for cl in classes:
+        acc = 0
+        for v in cl:
+            acc |= g.neighbor_bits(v)
+        nbr.append(acc)
+    edges = []
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            if nbr[i] & bits[j]:
+                edges.append((i, j))
+    return edges
+
+
 def enumerate_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """ccw and the lex-smallest optimal cover, by partition enumeration.
 
@@ -86,13 +163,8 @@ def enumerate_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     best_cover: tuple[tuple[int, ...], ...] | None = None
     for classes in iter_clique_partitions(g):
         t1 = len(classes)
-        qedges = _quotient_edges(g, classes)
-        quotient = Graph(t1, qedges)
-        qlb = _bandwidth_lower_bound(quotient)
-        if best_value is not None and qlb > best_value:
-            continue
-        cap = t1 - 1 if best_value is None else best_value
-        found = _bandwidth_up_to(quotient, cap)
+        quotient = Graph(t1, quotient_edges(g, classes))
+        found = dfs_bandwidth(quotient, best_value)
         if found is None:
             continue
         value, qorder = found

@@ -22,7 +22,7 @@ from ccwidth import (
     validate_cover,
     verify_certificate,
 )
-from ccwidth.composition import extraction_sequence
+from ccwidth.composition import _skeleton
 
 
 def _instances(seed_prefix, count, **kwargs):
@@ -66,6 +66,12 @@ class TestInterleavedSequence:
         c = OrderedCliqueCover(p3, [{0, 1}, {2}])
         with pytest.raises(ValueError):
             interleaved_sequence(c, c, {})
+
+    def test_rejects_non_clique_shared(self):
+        p3 = path_graph(3)
+        c = OrderedCliqueCover(p3, [{0, 1}, {2}])
+        with pytest.raises(ValueError, match="clique"):
+            interleaved_sequence(c, c, {0: 0, 2: 2})
 
 
 class TestComposeCoversExamples:
@@ -173,8 +179,13 @@ class TestComposeCoversCorpus:
                 continue
             g2_map = clique_sum_map(inst.g1, inst.g2, inst.shared)
             composed = clique_sum(inst.g1, inst.g2, inst.shared)
-            with_empties = extraction_sequence(
-                inst.c1, inst.c2, inst.shared, g2_map
+            # Nominal fix-up before compaction: the shared-set clique at
+            # the middle of the block segment, emptied cliques kept.
+            layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
+            with_empties = _skeleton(layout, inst.c1, inst.c2, inst.shared, g2_map)
+            with_empties.insert(
+                layout.block_start + layout.block_length // 2,
+                frozenset(inst.shared.keys()),
             )
             compacted = [cl for cl in with_empties if cl]
             assert sequence_width(composed, compacted) <= sequence_width(

@@ -1,10 +1,13 @@
-"""Pinned end-to-end outputs: experiment CSVs, path-sum witnesses, certificates.
+"""Pinned end-to-end outputs: experiment CSVs, witnesses, certificates.
 
 The CSV digests and witnesses were recorded with the partition-enumeration
 ccw solver, so they hold every later solver to the same lex-min
 witnesses and the same CSV bytes.  The certificate digest was recorded
 before the composition skeleton was built once per compose, so it holds
-every later composition to the same certificate bytes.
+every later composition to the same certificate bytes.  The bandwidth
+witness digest and the reorder-fallback certificates were recorded with
+the position-by-position bandwidth DFS, before the bandwidth search and
+the compose reorder fallback moved onto the ordered-cover search.
 """
 
 import hashlib
@@ -12,12 +15,16 @@ import random
 
 import pytest
 
+import ccwidth.composition
 from ccwidth import (
     ExperimentConfig,
+    bandwidth_exact,
     compose_covers,
+    format_bandwidth_result,
     format_certificate,
     path_sum_instance,
     random_clique_sum_instance,
+    random_graph,
     run_experiment,
 )
 
@@ -29,6 +36,34 @@ EXPERIMENT_SHA256 = {
 }
 
 CERTIFICATE_SHA256 = "65b71502a96b0755be6db1b25290070715e81ef6c2f13cab54ba79a9d84bc1dc"
+
+BANDWIDTH_WITNESS_SHA256 = (
+    "ceb7b9b8451fa23a39f38bbd63a11ee7fd852f456af97415c2a7f382aaadd2d3"
+)
+
+# Instances whose plain placement, absorptions and side-kept variants all
+# miss the bound, so compose reaches the reorder fallback: (candidate
+# sets tried, certificate sha256).  In (1, 725) the first candidate set
+# cannot be reordered within the bound and the side-kept one can.
+FALLBACK_PARAMS = {1: dict(p_lo=0.4, p_hi=0.9), 2: dict(p_lo=0.1, p_hi=0.5)}
+FALLBACK_CERTIFICATES = {
+    (1, 725): (
+        [False, True],
+        "2a356817594ef0b68b3326d8b40b0088120ab4e23d6097b1bd849d0e121962ad",
+    ),
+    (1, 809): (
+        [True],
+        "f5b3619353c64ebbfa64cf16cefb672b51841d1b4eac3b4711a04301c9c21f40",
+    ),
+    (2, 679): (
+        [True],
+        "6bc542756314d28a9585a043b8c822ff1145601ed2e4dc4842d73b243626e9bb",
+    ),
+    (2, 1549): (
+        [True],
+        "5bbd858fc283cfe9e83eda666c7d17c5780ec011756cab31c4d127fbfa0e7dab",
+    ),
+}
 
 PATH_SUM_WITNESSES = {
     1: ((0,), (1,), (2,)),
@@ -64,3 +99,36 @@ def test_certificate_digest():
         cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
         digest.update(format_certificate(cert).encode())
     assert digest.hexdigest() == CERTIFICATE_SHA256
+
+
+def test_bandwidth_witness_digest():
+    """Values and lex-min witnesses of 420 seeded graphs, n 6-12."""
+    digest = hashlib.sha256()
+    for n in range(6, 13):
+        for p in (0.2, 0.35, 0.5):
+            for i in range(20):
+                g = random_graph(n, p, random.Random(f"bw-witness-{n}-{p}-{i}"))
+                digest.update(format_bandwidth_result(bandwidth_exact(g)).encode())
+    assert digest.hexdigest() == BANDWIDTH_WITNESS_SHA256
+
+
+@pytest.mark.parametrize("key", sorted(FALLBACK_CERTIFICATES))
+def test_reorder_fallback_certificates(key, monkeypatch):
+    s, i = key
+    expected_tries, expected_sha = FALLBACK_CERTIFICATES[key]
+    reorder = ccwidth.composition._reorder_within_bound
+    tries = []
+
+    def spy(g, cliques, bound):
+        found = reorder(g, cliques, bound)
+        tries.append(found is not None)
+        return found
+
+    monkeypatch.setattr(ccwidth.composition, "_reorder_within_bound", spy)
+    inst = random_clique_sum_instance(
+        random.Random(f"fb-{s}-{i}"), n_hi=9, shared_max=5, **FALLBACK_PARAMS[s]
+    )
+    cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+    assert tries == expected_tries
+    assert cert.achieved <= cert.bound
+    assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == expected_sha

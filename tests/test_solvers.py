@@ -23,10 +23,12 @@ from ccwidth import (
     star_number,
     validate_cover,
 )
+from ccwidth.solvers import SearchBudgetExceeded, _ordered_cover_within
 from conftest import (
     all_labeled_graphs,
     brute_bandwidth,
     brute_ccw,
+    dfs_bandwidth,
     enumerate_ccw,
     graphs,
     random_graph_corpus,
@@ -78,6 +80,24 @@ class TestBandwidthExact:
     def test_deterministic(self):
         for g in random_graph_corpus("bw-det", 30, 1, 6):
             assert bandwidth_exact(g) == bandwidth_exact(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=10))
+def test_bandwidth_matches_dfs(g):
+    r = bandwidth_exact(g)
+    assert (r.value, list(r.witness.order)) == dfs_bandwidth(g)
+
+
+def test_failed_state_cap():
+    # K5 has bandwidth 4: at k = 1 every one-vertex start fails the fit
+    # check, so the root is the first failed state memoized.
+    g = complete_graph(5)
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    assert _ordered_cover_within(nbrs, 1, cap=1) is None
+    with pytest.raises(SearchBudgetExceeded):
+        _ordered_cover_within(nbrs, 1, cap=1, max_failed=0)
+    assert _ordered_cover_within(nbrs, 4, cap=1, max_failed=0) == [1, 2, 4, 8, 16]
 
 
 class TestIterCliquePartitions:
