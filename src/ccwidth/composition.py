@@ -18,10 +18,11 @@ can hold.  Using that oversized window as the block stretches the
 interleave and loses the bound (two glued paths already exhibit it), so
 when S straddles w + 1 cliques the anchor keeps the w of them holding
 most of S and lets one clique sit just outside.  Second, the insertion
-point for the new S-clique is chosen by a deterministic scan over all
-positions, minimizing the realized width and preferring the middle of
-the interleaved block segment on ties; in the regular geometry the scan
-lands exactly on that middle position.
+point for the new S-clique minimizes the realized width over all
+positions, preferring the middle of the interleaved block segment on
+ties; in the regular geometry that is exactly the middle position.  All
+positions are scored in one pass over the edges: an insertion only
+lengthens the edges that cross it and the edges of the new clique.
 
 Degenerate widths take documented detours:
 
@@ -45,7 +46,8 @@ revalidates the cover and both width figures from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from itertools import accumulate
+from typing import Callable, Sequence, TypeVar
 
 from .graph import (
     Graph,
@@ -253,23 +255,62 @@ def _best_insertion(
 ) -> tuple[int, list[frozenset[int]]]:
     """Insert ``item`` where the compacted sequence width is smallest.
 
-    Ties prefer the position nearest ``anchor`` (then the leftmost), so
-    the regular geometry reproduces the natural middle placement and
-    the result is deterministic.  Returns (width, compacted sequence).
+    Scores every raw position in one pass over the edges.  Inserting
+    ``item`` at kept index p (empty entries of ``raw`` dropped) shifts
+    the kept cliques from p on by one, so a kept edge grows by one
+    exactly when it crosses gap p: the kept edges give M + 1 at the gaps
+    an edge of the widest kept span M crosses, and M elsewhere.  An edge
+    from ``item`` to the kept clique j spans p - j or j + 1 - p, so only
+    the lowest and highest such j matter.  Ties prefer the position
+    nearest ``anchor`` (then the leftmost), so the regular geometry
+    reproduces the natural middle placement and the result is
+    deterministic.  Returns (width, compacted sequence).
     """
-    best_key: tuple[int, int, int] | None = None
-    best_final: list[frozenset[int]] | None = None
-    for q in range(len(raw) + 1):
-        final = [cl for cl in raw[:q] if cl]
-        final.append(item)
-        final.extend(cl for cl in raw[q:] if cl)
-        width = sequence_width(g, final)
-        key = (width, abs(q - anchor), q)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_final = final
-    assert best_key is not None and best_final is not None
-    return best_key[0], best_final
+    kept = [cl for cl in raw if cl]
+    index_of = {v: idx for idx, cl in enumerate(kept) for v in cl}
+    widest = 0
+    lefts: list[int] = []  # left ends of the kept edges of span ``widest``
+    lo, hi = len(kept), -1  # lowest and highest kept clique next to ``item``
+    for u, nbrs in enumerate(g.adjacency):
+        if not nbrs:
+            continue  # isolated vertices need no index
+        if u in item:
+            for v in nbrs:
+                if v not in item:
+                    j = index_of[v]
+                    lo = min(lo, j)
+                    hi = max(hi, j)
+            continue
+        iu = index_of[u]
+        for v in nbrs:
+            if v > u and v not in item:
+                iv = index_of[v]
+                span = abs(iu - iv)
+                if span > widest:
+                    widest = span
+                    lefts = [min(iu, iv)]
+                elif span == widest:
+                    lefts.append(min(iu, iv))
+    crossings = [0] * (len(kept) + 1)  # difference array over the gaps
+    for i in lefts:
+        crossings[i + 1] += 1
+        crossings[i + widest + 1] -= 1
+    widths: list[int] = []
+    depth = 0
+    for p in range(len(kept) + 1):
+        depth += crossings[p]
+        width = widest + 1 if depth else widest
+        if lo < p:
+            width = max(width, p - lo)
+        if hi >= p:
+            width = max(width, hi + 1 - p)
+        widths.append(width)
+    kept_before = list(accumulate((bool(cl) for cl in raw), initial=0))
+    width, _, q = min(
+        (widths[p], abs(q - anchor), q) for q, p in enumerate(kept_before)
+    )
+    p = kept_before[q]
+    return width, kept[:p] + [item] + kept[p:]
 
 
 def _place_with_absorption(
@@ -279,7 +320,7 @@ def _place_with_absorption(
     home_slots: Sequence[int],
     anchor: int,
     bound: int,
-    extra_variants: Sequence[list[frozenset[int]]] = (),
+    extra_variants: Callable[[], Sequence[list[frozenset[int]]]] = lambda: (),
 ) -> list[frozenset[int]]:
     """Place ``base`` into ``raw``, falling back to repairs only if needed.
 
@@ -291,9 +332,10 @@ def _place_with_absorption(
     * absorption: fold the leftovers of the cliques the shared set was
       extracted from (``home_slots``) into the new clique, when the
       union is still a clique, removing both a clique and a constraint;
-    * ``extra_variants``: complete alternative sequences (no insertion
+    * ``extra_variants()``: complete alternative sequences (no insertion
       step), such as keeping the shared vertices inside one side's
-      original cliques instead of extracting them.
+      original cliques instead of extracting them; built only once the
+      plain placement has missed the bound.
 
     The smallest realized width wins; plain placement, then fewer
     absorptions, then earlier variants break ties.
@@ -301,6 +343,7 @@ def _place_with_absorption(
     width, final = _best_insertion(g, raw, base, anchor)
     if width <= bound:
         return final
+    variants = extra_variants()
     slots = [i for i in home_slots if raw[i]]
     best_key: tuple[int, int, int, tuple[int, ...]] = (width, 0, 0, ())
     best_final = final
@@ -317,7 +360,7 @@ def _place_with_absorption(
         if key < best_key:
             best_key = key
             best_final = fin
-    for rank, seq in enumerate(extra_variants):
+    for rank, seq in enumerate(variants):
         fin = [cl for cl in seq if cl]
         w = sequence_width(g, fin)
         key = (w, 2, rank, ())
@@ -332,7 +375,7 @@ def _place_with_absorption(
     candidate_sets: list[list[frozenset[int]]] = [
         [cl for cl in raw if cl] + [base]
     ]
-    candidate_sets.extend([cl for cl in seq if cl] for seq in extra_variants)
+    candidate_sets.extend([cl for cl in seq if cl] for seq in variants)
     for cliques in candidate_sets:
         reordered = _reorder_within_bound(g, cliques, bound)
         if reordered is not None:
@@ -450,13 +493,18 @@ def compose_covers(
         if w1 + w2 == 0:
             bound += 1
             adjusted = True
-        variants = [
-            _skeleton(layout, c1, c2, shared, g2_map, keep_side=side)
-            for side in (1, 2)
-        ]
         final = tuple(
             _place_with_absorption(
-                composed, raw, s1, slots, anchor, bound, extra_variants=variants
+                composed,
+                raw,
+                s1,
+                slots,
+                anchor,
+                bound,
+                extra_variants=lambda: [
+                    _skeleton(layout, c1, c2, shared, g2_map, keep_side=side)
+                    for side in (1, 2)
+                ],
             )
         )
     cover = OrderedCliqueCover(composed, final)
@@ -550,7 +598,7 @@ def edge_span_claim_check(
     for source, g, c in ((1, g1, c1), (2, g2, c2)):
         pos = layout.positions(source)
         for u, v in g.edges():
-            span = abs(pos[c.clique_index(u)] - pos[c.clique_index(v)])
+            span = abs(pos[c._index_of[u]] - pos[c._index_of[v]])
             if span > max_span:
                 max_span = span
                 worst = (source, u, v, span)

@@ -117,11 +117,13 @@ def random_clique_sum_instance(
         c2 = ccw_exact(g2, limit=ccw_limit).witness
         if cover_width(c1) + cover_width(c2) < min_total_width:
             continue
-        k = rng.randint(1, min(shared_max, g1.n, g2.n))
-        while k > 1 and not (_cliques_of_size(g1, k) and _cliques_of_size(g2, k)):
-            k -= 1
-        side1 = list(rng.choice(_cliques_of_size(g1, k)))
-        side2 = list(rng.choice(_cliques_of_size(g2, k)))
+        # Every vertex is a 1-clique, so the loop always breaks.
+        for k in range(rng.randint(1, min(shared_max, g1.n, g2.n)), 0, -1):
+            q1, q2 = _cliques_of_size(g1, k), _cliques_of_size(g2, k)
+            if q1 and q2:
+                break
+        side1 = list(rng.choice(q1))
+        side2 = list(rng.choice(q2))
         rng.shuffle(side2)
         shared = dict(zip(side1, side2))
         return CliqueSumInstance(g1=g1, c1=c1, g2=g2, c2=c2, shared=shared)

@@ -278,11 +278,20 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The most vertices an edge-list header may declare.  ``Graph(n)`` builds
+# n adjacency sets before any edge is read, so the header alone must not
+# be able to ask for an unbounded allocation; the exact solvers stop far
+# below this size.
+MAX_VERTICES = 10_000
+
+
 def read_edge_list(r: LineReader) -> Graph:
-    """Edge-list block: an ``n m`` header, then m ``u v`` lines."""
+    """Edge-list block: an ``n m`` header, n <= MAX_VERTICES, then m ``u v`` lines."""
     n, m = r.ints(2)
     if n < 0 or m < 0:
         raise r.error("counts must be >= 0")
+    if n > MAX_VERTICES:
+        raise r.error(f"at most {MAX_VERTICES} vertices allowed")
     return Graph(n, [r.ints(2) for _ in range(m)])
 
 

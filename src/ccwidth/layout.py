@@ -112,10 +112,12 @@ class OrderedCliqueCover:
     """An ordered partition of V(G) into cliques, bound to its graph.
 
     Construction validates the partition and raises ``ValueError`` on any
-    violation, so existing instances are always well-formed.
+    violation, so existing instances are always well-formed.  A cover and
+    its graph never change, so :func:`cover_width` computes the width
+    once and keeps it in ``_width``.
     """
 
-    __slots__ = ("graph", "cliques", "_index_of")
+    __slots__ = ("graph", "cliques", "_index_of", "_width")
 
     def __init__(self, graph: Graph, cliques: Sequence[Iterable[int]]):
         materialized = tuple(frozenset(cl) for cl in cliques)
@@ -129,6 +131,7 @@ class OrderedCliqueCover:
             for v in cl:
                 index_of[v] = idx
         self._index_of: tuple[int, ...] = tuple(index_of)
+        self._width: int | None = None
 
     @property
     def size(self) -> int:
@@ -189,7 +192,9 @@ def ordering_width(g: Graph, ordering: LinearOrdering | Sequence[int]) -> int:
 
 def cover_width(c: OrderedCliqueCover) -> int:
     """Width of an ordered clique cover: max |j - i| over cross edges."""
-    return index_width(c.graph, c._index_of)
+    if c._width is None:
+        c._width = index_width(c.graph, c._index_of)
+    return c._width
 
 
 def cover_graph(c: OrderedCliqueCover) -> Graph:

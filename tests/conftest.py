@@ -7,17 +7,20 @@ permutations, and the scalar parameters over plain subset enumeration.
 They anchor the solvers' expected values.  ``dfs_bandwidth`` and
 ``enumerate_ccw`` are the exception: they keep the position-by-position
 bandwidth DFS and the definition-following partition-plus-quotient
-solver as witness oracles for the ordered-cover search.
+solver as witness oracles for the ordered-cover search.  Likewise
+``scan_insertion`` keeps the position-by-position insertion scan as the
+oracle for the one-pass insertion scoring of ``compose_covers``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from ccwidth import Graph, iter_clique_partitions
+from ccwidth import Graph, iter_clique_partitions, sequence_width
 
 
 def brute_bandwidth(g: Graph) -> int:
@@ -178,6 +181,33 @@ def enumerate_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             best_cover = candidate
     assert best_value is not None and best_cover is not None
     return best_value, best_cover
+
+
+def scan_insertion(
+    g: Graph,
+    raw: Sequence[frozenset[int]],
+    item: frozenset[int],
+    anchor: int,
+) -> tuple[int, list[frozenset[int]]]:
+    """Insert ``item`` where the compacted sequence width is smallest.
+
+    Ties prefer the position nearest ``anchor`` (then the leftmost), so
+    the regular geometry reproduces the natural middle placement and
+    the result is deterministic.  Returns (width, compacted sequence).
+    """
+    best_key: tuple[int, int, int] | None = None
+    best_final: list[frozenset[int]] | None = None
+    for q in range(len(raw) + 1):
+        final = [cl for cl in raw[:q] if cl]
+        final.append(item)
+        final.extend(cl for cl in raw[q:] if cl)
+        width = sequence_width(g, final)
+        key = (width, abs(q - anchor), q)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_final = final
+    assert best_key is not None and best_final is not None
+    return best_key[0], best_final
 
 
 def brute_clique_number(g: Graph) -> int:

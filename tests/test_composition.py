@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccwidth import (
     OrderedCliqueCover,
@@ -22,7 +24,8 @@ from ccwidth import (
     validate_cover,
     verify_certificate,
 )
-from ccwidth.composition import _skeleton
+from ccwidth.composition import _best_insertion, _skeleton
+from conftest import graphs, scan_insertion
 
 
 def _instances(seed_prefix, count, **kwargs):
@@ -190,6 +193,33 @@ class TestComposeCoversCorpus:
             compacted = [cl for cl in with_empties if cl]
             assert sequence_width(composed, compacted) <= sequence_width(
                 composed, with_empties
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=8), st.data())
+    def test_best_insertion_matches_position_scan(self, g, data):
+        """One-pass insertion scoring picks the scan's width and sequence.
+
+        Each vertex goes to a raw entry or to the inserted item (slot
+        -1), so some entries stay empty; absorbed entries are merged
+        into the item and emptied, as the absorption repair does.  Every
+        anchor is tried, since the anchor decides among equal widths.
+        """
+        length = data.draw(st.integers(0, g.n + 2))
+        slots = data.draw(
+            st.lists(st.integers(-1, length - 1), min_size=g.n, max_size=g.n)
+        )
+        raw = [
+            frozenset(v for v, s in enumerate(slots) if s == i) for i in range(length)
+        ]
+        item = frozenset(v for v, s in enumerate(slots) if s == -1)
+        if length:
+            for i in data.draw(st.sets(st.integers(0, length - 1))):
+                item |= raw[i]
+                raw[i] = frozenset()
+        for anchor in range(length + 1):
+            assert _best_insertion(g, raw, item, anchor) == scan_insertion(
+                g, raw, item, anchor
             )
 
     def test_rejects_mismatched_cover(self):

@@ -20,6 +20,7 @@ from ccwidth import (
     path_graph,
     validate_cover,
 )
+from ccwidth.layout import index_width
 from conftest import random_graph_corpus
 
 
@@ -103,6 +104,16 @@ class TestCoverWidth:
             parts = _random_partition(rng, g)
             c = OrderedCliqueCover(g, parts)
             assert cover_width(c) == cover_width(c.reversed())
+
+    def test_cached_width_matches_a_fresh_computation(self):
+        rng = random.Random("cached")
+        for g in random_graph_corpus("cached-width", 40, 1, 7):
+            c = OrderedCliqueCover(g, _random_partition(rng, g))
+            for cover in (c, c.reversed(), OrderedCliqueCover(g, c.cliques)):
+                index = {v: i for i, cl in enumerate(cover.cliques) for v in cl}
+                fresh = index_width(g, index)
+                assert cover_width(cover) == fresh
+                assert cover_width(cover) == fresh  # read back from the cache
 
 
 def _random_partition(rng, g):

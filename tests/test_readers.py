@@ -3,8 +3,8 @@
 Valid files of every format are truncated or token-mutated, and each
 reader must return an object or raise ``ValueError``; any other
 exception would reach the command line as a traceback.  Mutated
-integers stay at most 64, because ``Graph(n)`` allocates n adjacency
-sets before it reads any edge.
+integers are small or at least the edge-list vertex cap, which the
+reader must refuse before ``Graph(n)`` allocates n adjacency sets.
 """
 
 import random
@@ -31,6 +31,7 @@ from ccwidth import (
 )
 from ccwidth.cli import _format_instance, _parse_instance, main
 from ccwidth.generators import CliqueSumInstance
+from ccwidth.graph import MAX_VERTICES
 
 
 def _instances():
@@ -58,6 +59,7 @@ SAMPLES = list(_samples())
 READERS = sorted({name for name, _, _ in SAMPLES})
 TOKENS = st.one_of(
     st.integers(-3, 64).map(str),
+    st.integers(MAX_VERTICES, 10**12).map(str),
     st.sampled_from(["cover", "shared", "ordering", "w1", "bound", "x", "1.5", ""]),
 )
 
@@ -132,6 +134,20 @@ class TestNegativeCounts:
         err = self._run(["compose", "--instance", str(bundle)], capsys)
         assert err.startswith("error: instance bundle line ")
         assert err.endswith(": counts must be >= 0, got 'shared -1'\n")
+
+
+def test_vertex_cap(tmp_path, capsys):
+    """A header over the vertex cap is one error line, before any allocation."""
+    assert len(parse_edge_list(f"{MAX_VERTICES} 0\n").adjacency) == MAX_VERTICES
+    graph = tmp_path / "g.txt"
+    graph.write_text("99999999 0\n")
+    code = main(["ccw", str(graph)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: edge list line 1: at most {MAX_VERTICES} vertices allowed, "
+        "got '99999999 0'\n"
+    )
 
 
 def test_error_names_the_physical_line():
