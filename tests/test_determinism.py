@@ -4,7 +4,10 @@ The CSV digests and witnesses were recorded with the partition-enumeration
 ccw solver, so they hold every later solver to the same lex-min
 witnesses and the same CSV bytes.  The certificate digest was recorded
 before the composition skeleton was built once per compose, so it holds
-every later composition to the same certificate bytes.  The bandwidth
+every later composition to the same certificate bytes.  The layout
+digest was recorded while strips were still built as a partition of
+each cover around its anchor block, so it holds every later interleave
+to the same sequences and span checks.  The bandwidth
 witness digest and the reorder-fallback certificates were recorded with
 the position-by-position bandwidth DFS, before the bandwidth search and
 the compose reorder fallback moved onto the ordered-cover search.
@@ -20,8 +23,10 @@ from ccwidth import (
     ExperimentConfig,
     bandwidth_exact,
     compose_covers,
+    edge_span_claim_check,
     format_bandwidth_result,
     format_certificate,
+    interleaved_sequence,
     path_sum_instance,
     random_clique_sum_instance,
     random_graph,
@@ -34,6 +39,8 @@ EXPERIMENT_SHA256 = {
     2: "89c5e98e6beb4d3a65ee8700a80ebf191b652fe0bf86790680344e221a0458ba",
     3: "f1a0dd7d52a99dcda7522a8b07d475507eb4dddc6e49b8760a9ecaab748807b1",
 }
+
+LAYOUT_SHA256 = "d3fd083939da7225ce081dfd01d0459a009a921faa2e405c72f266c1b7cae8ae"
 
 CERTIFICATE_SHA256 = "65b71502a96b0755be6db1b25290070715e81ef6c2f13cab54ba79a9d84bc1dc"
 
@@ -87,18 +94,36 @@ def test_path_sum_witnesses(t):
     assert inst.c2.as_sorted_tuples() == PATH_SUM_WITNESSES[t]
 
 
-def test_certificate_digest():
-    """Certificates of path sums t = 1..6 and 240 seeded random instances."""
+def _certificate_pin_instances():
+    """Path sums t = 1..6 and 240 seeded random instances."""
     instances = [path_sum_instance(t) for t in range(1, 7)]
     instances += [
         random_clique_sum_instance(random.Random(f"certificate-pin-{i}"), shared_max=4)
         for i in range(240)
     ]
+    return instances
+
+
+def test_certificate_digest():
+    """Certificates of the certificate-pin instances."""
     digest = hashlib.sha256()
-    for inst in instances:
+    for inst in _certificate_pin_instances():
         cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
         digest.update(format_certificate(cert).encode())
     assert digest.hexdigest() == CERTIFICATE_SHA256
+
+
+def test_interleave_layout_digest():
+    """Interleave layouts and span checks of the certificate-pin instances."""
+    digest = hashlib.sha256()
+    for inst in _certificate_pin_instances():
+        args = (inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
+        digest.update(
+            repr((layout.seq, layout.block_start, layout.block_length)).encode()
+        )
+        digest.update(repr(edge_span_claim_check(*args)).encode())
+    assert digest.hexdigest() == LAYOUT_SHA256
 
 
 def test_bandwidth_witness_digest():
