@@ -66,14 +66,11 @@ from .solvers import (
     check_inequality_chain,
     format_bandwidth_result,
     format_ccw_result,
-    iter_clique_partitions,
 )
 from .strips import (
     Strip,
-    StripPartition,
     block_size,
     locate_enclosing_block,
-    partition_around_block,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +91,6 @@ __all__ = [
     "OrderedCliqueCover",
     "SpanCheck",
     "Strip",
-    "StripPartition",
     "WidthCertificate",
     "bandwidth_exact",
     "block_size",
@@ -119,14 +115,12 @@ __all__ = [
     "interleave",
     "interleaved_sequence",
     "is_clique",
-    "iter_clique_partitions",
     "locate_enclosing_block",
     "ordering_width",
     "parse_certificate",
     "parse_cover",
     "parse_edge_list",
     "parse_ordering",
-    "partition_around_block",
     "path_graph",
     "path_sum_instance",
     "random_clique_sum_instance",

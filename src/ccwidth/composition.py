@@ -2,13 +2,14 @@
 
 Given covers C1 of G1 and C2 of G2 glued along a shared clique S, the
 construction anchors a block (a strip of exactly w cliques) on each
-side's S-window, partitions both covers around the anchors, interleaves
-strips at equal distances from the blocks (unmatched outer strips pass
-through), and glues the pieces into one ordered sequence.  A new clique
-holding exactly S is then inserted, S's vertices are deleted everywhere
-else, emptied cliques are dropped, and everything is renumbered into
-the composed graph.  The result is an ordered clique cover of
-G1 (+) G2 whose width stays within ceil(3/2 * (w(C1) + w(C2))).
+side's S-window, counts strips of w cliques outward from each anchor,
+interleaves the strips at equal distances from the blocks (unmatched
+outer strips pass through), and glues the pieces into one ordered
+sequence.  A new clique holding exactly S is then inserted, S's
+vertices are deleted everywhere else, emptied cliques are dropped, and
+everything is renumbered into the composed graph.  The result is an
+ordered clique cover of G1 (+) G2 whose width stays within
+ceil(3/2 * (w(C1) + w(C2))).
 
 Two details matter for that bound to survive all geometries.  First,
 anchor blocks are never allowed to exceed the nominal block size: the
@@ -46,7 +47,7 @@ revalidates the cover and both width figures from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Callable, Sequence, TypeVar
 
 from .graph import (
@@ -69,7 +70,7 @@ from .layout import (
     validate_cover,
 )
 from .solvers import SearchBudgetExceeded, _ordered_cover_within
-from .strips import Strip, block_size, locate_enclosing_block, partition_around_block
+from .strips import Strip, block_size, locate_enclosing_block, strips_around
 
 T = TypeVar("T")
 
@@ -106,8 +107,6 @@ class InterleaveLayout:
     seq: tuple[TaggedClique, ...]
     block_start: int
     block_length: int
-    b1: Strip
-    b2: Strip
 
     def positions(self, source: int) -> dict[int, int]:
         """Map each source clique index to its position in the sequence."""
@@ -132,8 +131,11 @@ def interleaved_sequence(
     c2: OrderedCliqueCover,
     shared: dict[int, int],
 ) -> InterleaveLayout:
-    """The interleave skeleton: anchor blocks, partitions, interleaves.
+    """The interleave skeleton: anchor blocks, strips, interleaves.
 
+    Strips are counted outward from each side's anchor block, and the
+    two strips at the same distance from their blocks are interleaved; a
+    strip without a partner on the other side passes through unchanged.
     Returns the flattened sequence of tagged cliques in which every
     clique of c1 and of c2 appears exactly once, cliques of each source
     in their original relative order.  Raises ``ValueError`` unless the
@@ -143,47 +145,20 @@ def interleaved_sequence(
         raise ValueError("interleaved sequence requires a nonempty shared set")
     b1 = _anchor_block(c1, frozenset(shared.keys()))
     b2 = _anchor_block(c2, frozenset(shared.values()))
-    p1 = partition_around_block(c1, b1)
-    p2 = partition_around_block(c2, b2)
+    left1, right1 = strips_around(c1, b1)
+    left2, right2 = strips_around(c2, b2)
 
-    def tagged(source: int, strip: Strip) -> list[TaggedClique]:
-        return [(source, i) for i in strip.indices()]
+    def paired(a: Sequence[int], b: Sequence[int]) -> list[TaggedClique]:
+        return interleave([(1, i) for i in a], [(2, i) for i in b])
 
-    left1 = p1.parts[: p1.block_index]
-    right1 = p1.parts[p1.block_index + 1 :]
-    left2 = p2.parts[: p2.block_index]
-    right2 = p2.parts[p2.block_index + 1 :]
-
-    seq: list[TaggedClique] = []
-    # Left of the blocks: pair strips at equal distance from the block,
-    # walking outward; unmatched outer strips pass through unchanged.
-    for d in range(max(len(left1), len(left2)), 0, -1):
-        a = left1[-d] if d <= len(left1) else None
-        b = left2[-d] if d <= len(left2) else None
-        if a is not None and b is not None:
-            seq.extend(interleave(tagged(1, a), tagged(2, b)))
-        elif a is not None:
-            seq.extend(tagged(1, a))
-        else:
-            assert b is not None
-            seq.extend(tagged(2, b))
-
+    left = [paired(a, b) for a, b in zip_longest(left1, left2, fillvalue=())]
+    seq = [entry for segment in reversed(left) for entry in segment]
     block_start = len(seq)
-    block_seg = interleave(tagged(1, b1), tagged(2, b2))
-    seq.extend(block_seg)
-
-    for d in range(1, max(len(right1), len(right2)) + 1):
-        a = right1[d - 1] if d <= len(right1) else None
-        b = right2[d - 1] if d <= len(right2) else None
-        if a is not None and b is not None:
-            seq.extend(interleave(tagged(1, a), tagged(2, b)))
-        elif a is not None:
-            seq.extend(tagged(1, a))
-        else:
-            assert b is not None
-            seq.extend(tagged(2, b))
-
-    return InterleaveLayout(tuple(seq), block_start, len(block_seg), b1, b2)
+    seq += paired(b1.indices(), b2.indices())
+    block_length = len(seq) - block_start
+    for a, b in zip_longest(right1, right2, fillvalue=()):
+        seq += paired(a, b)
+    return InterleaveLayout(tuple(seq), block_start, block_length)
 
 
 @dataclass(frozen=True)
@@ -338,7 +313,9 @@ def _place_with_absorption(
       plain placement has missed the bound.
 
     The smallest realized width wins; plain placement, then fewer
-    absorptions, then earlier variants break ties.
+    absorptions, then earlier variants break ties.  When that still
+    misses ``bound``, each candidate clique set is reordered by a capped
+    search; raises ``ValueError`` if none fits within ``bound``.
     """
     width, final = _best_insertion(g, raw, base, anchor)
     if width <= bound:
@@ -380,7 +357,9 @@ def _place_with_absorption(
         reordered = _reorder_within_bound(g, cliques, bound)
         if reordered is not None:
             return reordered
-    return best_final
+    raise ValueError(
+        f"composition missed its bound: achieved {best_key[0]} > bound {bound}"
+    )
 
 
 def _reorder_within_bound(
@@ -446,6 +425,7 @@ def compose_covers(
     promises achieved <= bound with bound = ceil(3/2 * (w1 + w2)),
     except in the documented degenerate regimes (empty shared set:
     bound max(w1, w2); both widths zero: bound 1, flagged as adjusted).
+    Raises ``ValueError`` rather than return a cover above that bound.
     """
     if c1.graph != g1:
         raise ValueError("c1 does not cover g1")

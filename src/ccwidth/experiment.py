@@ -91,9 +91,9 @@ def _instance(cfg: ExperimentConfig, index: int) -> CliqueSumInstance:
 def _row(cfg: ExperimentConfig, index: int) -> list[str]:
     try:
         inst = _instance(cfg, index)
-        cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
     except ValueError:
         return [""] * (len(CSV_HEADER) - 1) + ["skipped"]
+    cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
     check = edge_span_claim_check(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
     if check.vacuous:
         claim = "vacuous"

@@ -15,8 +15,6 @@ in the style of Saxe's frontier dynamic program for small bandwidth
 ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the first k that
 succeeds is the width, and the first cover found is the lexicographically
 smallest optimal ordering or cover, so results are deterministic.
-``iter_clique_partitions`` enumerates every clique partition for callers
-that need them all; the solver never does.
 
 Both solvers refuse graphs above a documented size limit unless the
 caller overrides it explicitly.
@@ -68,42 +66,6 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
     start = max(ceil(g.degree(v) / 2) for v in range(g.n))
     value, cover = _least_width_cover(g, start, cap=1)
     return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
-
-
-def iter_clique_partitions(g: Graph) -> Iterator[list[list[int]]]:
-    """All partitions of V(g) into cliques, canonically ordered.
-
-    Classes appear in order of their smallest vertex and each class lists
-    its vertices increasingly.  Every partition is emitted exactly once.
-    Yielded lists are fresh copies safe to keep.
-    """
-    n = g.n
-    if n == 0:
-        yield []
-        return
-    classes: list[list[int]] = []
-    class_bits: list[int] = []
-
-    def assign(v: int) -> Iterator[list[list[int]]]:
-        if v == n:
-            yield [list(cl) for cl in classes]
-            return
-        vbits = g.neighbor_bits(v)
-        for i in range(len(classes)):
-            if class_bits[i] & ~vbits:
-                continue  # v is not adjacent to some member
-            classes[i].append(v)
-            class_bits[i] |= 1 << v
-            yield from assign(v + 1)
-            class_bits[i] &= ~(1 << v)
-            classes[i].pop()
-        classes.append([v])
-        class_bits.append(1 << v)
-        yield from assign(v + 1)
-        classes.pop()
-        class_bits.pop()
-
-    yield from assign(0)
 
 
 def _cliques_in_lex_order(

@@ -1,12 +1,12 @@
-"""Strips, blocks, and the partition of a cover around a central block.
+"""Strips, blocks, and the strips counted outward from a central block.
 
 A strip is a run of consecutive cliques in an ordered cover; a block is
 a strip whose cardinality equals the cover width w (taken as 1 when
-w = 0 so the machinery stays total).  Partitioning a cover around a
-block B tiles the prefix before B into a short leading strip of length
-k mod w followed by full blocks, and the suffix after B into full
-blocks followed by a short trailing strip.  Strip distance is plain
-index distance within that partition.
+w = 0 so the machinery stays total).  Around a block B the cover is
+tiled by strips counted outward from B on each side: every strip holds
+w cliques except the outermost one on a side, which takes the at most w
+cliques left over.  Strip distance from B is the position in that
+nearest-first list.
 
 Removing a block's cliques separates the cliques before it from the
 cliques after it: no edge can jump over w consecutive cliques.
@@ -49,65 +49,22 @@ class Strip:
         return f"[{self.start}..{self.end - 1}]"
 
 
-@dataclass(frozen=True)
-class StripPartition:
-    """Contiguous strips jointly covering a cover's clique indices.
-
-    ``parts[block_index]`` is the designated central block; interior
-    parts other than it have exactly block length, and the first and
-    last parts never exceed it.
-    """
-
-    parts: tuple[Strip, ...]
-    block_index: int
-
-    @property
-    def block(self) -> Strip:
-        return self.parts[self.block_index]
-
-    def __str__(self) -> str:
-        return "".join(
-            f"{part}*" if i == self.block_index else str(part)
-            for i, part in enumerate(self.parts)
-        )
-
-
 def block_size(c: OrderedCliqueCover) -> int:
     """Nominal block cardinality: the cover width, but at least 1."""
     return max(cover_width(c), 1)
 
 
-def partition_around_block(c: OrderedCliqueCover, b: Strip) -> StripPartition:
-    """Partition the cover's clique list around the block ``b``.
+def strips_around(c: OrderedCliqueCover, b: Strip) -> tuple[list[range], list[range]]:
+    """Clique index ranges of the strips left and right of ``b``, nearest first.
 
-    With w the block size and k = b.start = p*w + r (0 <= r < w), the
-    prefix becomes a leading strip of the first r cliques (omitted when
-    empty) followed by p full blocks; the suffix after ``b`` is tiled by
-    full blocks with a final strip of length < w (omitted when empty).
-    ``b`` itself may exceed w (an oversized enclosing block) but never
-    be shorter.
+    Each strip holds the block size w of cliques; the outermost strip on
+    a side holds what is left, at most w.  Together with ``b`` the
+    strips tile the cover's clique indices.
     """
-    t1 = c.size
     w = block_size(c)
-    if b.start < 0 or b.end > t1:
-        raise ValueError(f"block {b} out of range for cover of {t1} cliques")
-    if b.length < w:
-        raise ValueError(f"block length {b.length} below block size {w}")
-    k = b.start
-    r = k % w
-    parts: list[Strip] = []
-    if r:
-        parts.append(Strip(0, r))
-    for start in range(r, k, w):
-        parts.append(Strip(start, w))
-    block_index = len(parts)
-    parts.append(b)
-    full_end = b.end + ((t1 - b.end) // w) * w
-    for start in range(b.end, full_end, w):
-        parts.append(Strip(start, w))
-    if full_end < t1:
-        parts.append(Strip(full_end, t1 - full_end))
-    return StripPartition(tuple(parts), block_index)
+    left = [range(max(end - w, 0), end) for end in range(b.start, 0, -w)]
+    right = [range(i, min(i + w, c.size)) for i in range(b.end, c.size, w)]
+    return left, right
 
 
 def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> Strip:
@@ -123,15 +80,7 @@ def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> Strip:
         raise ValueError("enclosing block requires a nonempty vertex set")
     if not is_clique(c.graph, vs):
         raise ValueError("vertex set does not induce a clique")
-    hit = sorted(c.clique_index(v) for v in vs)
-    lo, hi = hit[0], hit[-1]
-    target = max(block_size(c), hi - lo + 1)
-    t1 = c.size
-    while hi - lo + 1 < target:
-        if hi < t1 - 1:
-            hi += 1
-        elif lo > 0:
-            lo -= 1
-        else:
-            break
-    return Strip(lo, hi - lo + 1)
+    hit = [c.clique_index(v) for v in vs]
+    lo, hi = min(hit), max(hit)
+    length = min(max(block_size(c), hi - lo + 1), c.size)
+    return Strip(min(lo, c.size - length), length)

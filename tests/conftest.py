@@ -10,17 +10,20 @@ bandwidth DFS and the definition-following partition-plus-quotient
 solver as witness oracles for the ordered-cover search.  Likewise
 ``scan_insertion`` keeps the position-by-position insertion scan as the
 oracle for the one-pass insertion scoring of ``compose_covers``.
+``iter_clique_partitions`` enumerates every clique partition in
+canonical order, for ``enumerate_ccw`` and for the tests that walk all
+covers of a graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
-from ccwidth import Graph, iter_clique_partitions, sequence_width
+from ccwidth import Graph, sequence_width
 
 
 def brute_bandwidth(g: Graph) -> int:
@@ -60,6 +63,42 @@ def _all_clique_partitions(g: Graph):
             for u, v in itertools.combinations(part, 2)
         ):
             yield parts
+
+
+def iter_clique_partitions(g: Graph) -> Iterator[list[list[int]]]:
+    """All partitions of V(g) into cliques, canonically ordered.
+
+    Classes appear in order of their smallest vertex and each class lists
+    its vertices increasingly.  Every partition is emitted exactly once.
+    Yielded lists are fresh copies safe to keep.
+    """
+    n = g.n
+    if n == 0:
+        yield []
+        return
+    classes: list[list[int]] = []
+    class_bits: list[int] = []
+
+    def assign(v: int) -> Iterator[list[list[int]]]:
+        if v == n:
+            yield [list(cl) for cl in classes]
+            return
+        vbits = g.neighbor_bits(v)
+        for i in range(len(classes)):
+            if class_bits[i] & ~vbits:
+                continue  # v is not adjacent to some member
+            classes[i].append(v)
+            class_bits[i] |= 1 << v
+            yield from assign(v + 1)
+            class_bits[i] &= ~(1 << v)
+            classes[i].pop()
+        classes.append([v])
+        class_bits.append(1 << v)
+        yield from assign(v + 1)
+        classes.pop()
+        class_bits.pop()
+
+    yield from assign(0)
 
 
 def brute_ccw(g: Graph) -> int:

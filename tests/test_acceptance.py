@@ -22,7 +22,6 @@ from ccwidth import (
     cover_width,
     edge_span_claim_check,
     ExperimentConfig,
-    iter_clique_partitions,
     ordering_width,
     path_graph,
     path_sum_instance,
@@ -32,7 +31,11 @@ from ccwidth import (
     validate_cover,
     verify_certificate,
 )
-from conftest import all_labeled_graphs, random_graph_corpus
+from conftest import (
+    all_labeled_graphs,
+    iter_clique_partitions,
+    random_graph_corpus,
+)
 
 
 def _criterion(number: int, description: str):

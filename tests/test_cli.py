@@ -153,6 +153,31 @@ class TestComposeAndVerify:
         assert err.startswith("error: instance bundle ends early")
         assert len(err.splitlines()) == 1
 
+    def test_compose_reports_missed_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("ccwidth.composition.ceil_three_halves", lambda x: 0)
+        g = path_graph(3)
+        cover = OrderedCliqueCover(g, [{0, 1}, {2}])
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(format_edge_list(g))
+        cfile = tmp_path / "c.txt"
+        cfile.write_text(format_cover(cover.cliques))
+        out_file = tmp_path / "cert.txt"
+        code, out, err = run_cli(
+            [
+                "compose",
+                "--graph1", str(gfile), "--cover1", str(cfile),
+                "--graph2", str(gfile), "--cover2", str(cfile),
+                "--shared", "1=1",
+                "--out", str(out_file),
+            ],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: composition missed its bound")
+        assert len(err.splitlines()) == 1
+        assert not out_file.exists()
+
     def test_compose_requires_inputs(self, capsys, monkeypatch):
         code, _, err = run_cli(["compose"], capsys=capsys)
         assert code == 2

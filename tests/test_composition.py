@@ -89,6 +89,14 @@ class TestComposeCoversExamples:
         assert verify_certificate(cert).ok
         assert ccw_exact(cert.graph).value == 2
 
+    def test_missed_bound_raises(self, monkeypatch):
+        # a bound of 0 leaves the composed star no cover to fall back on
+        monkeypatch.setattr("ccwidth.composition.ceil_three_halves", lambda x: 0)
+        p3 = path_graph(3)
+        c = OrderedCliqueCover(p3, [{0, 1}, {2}])
+        with pytest.raises(ValueError, match="missed its bound: achieved 2 > bound 0"):
+            compose_covers(p3, c, p3, c, {1: 1})
+
     def test_triangles_at_one_vertex_bound_adjusted(self):
         k3 = complete_graph(3)
         c = OrderedCliqueCover(k3, [{0, 1, 2}])

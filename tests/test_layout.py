@@ -13,7 +13,6 @@ from ccwidth import (
     cover_width,
     format_cover,
     format_ordering,
-    iter_clique_partitions,
     ordering_width,
     parse_cover,
     parse_ordering,
@@ -21,7 +20,7 @@ from ccwidth import (
     validate_cover,
 )
 from ccwidth.layout import index_width
-from conftest import random_graph_corpus
+from conftest import iter_clique_partitions, random_graph_corpus
 
 
 class TestLinearOrdering:

@@ -16,7 +16,6 @@ from ccwidth import (
     cover_width,
     format_bandwidth_result,
     format_ccw_result,
-    iter_clique_partitions,
     ordering_width,
     path_graph,
     star_graph,
@@ -31,6 +30,7 @@ from conftest import (
     dfs_bandwidth,
     enumerate_ccw,
     graphs,
+    iter_clique_partitions,
     random_graph_corpus,
 )
 

@@ -9,12 +9,11 @@ from ccwidth import (
     block_size,
     complete_graph,
     cover_width,
-    iter_clique_partitions,
     locate_enclosing_block,
-    partition_around_block,
     path_graph,
 )
-from conftest import random_graph_corpus
+from ccwidth.strips import strips_around
+from conftest import iter_clique_partitions, random_graph_corpus
 
 
 def _chain_cover(num_cliques: int, width: int):
@@ -41,71 +40,53 @@ class TestStrip:
     def test_debug_printing_uses_index_ranges(self):
         assert str(Strip(2, 3)) == "[2..4]"
         assert str(Strip(0, 0)) == "[]"
-        c = _chain_cover(7, 2)
-        p = partition_around_block(c, Strip(2, 2))
-        assert str(p) == "[0..1][2..3]*[4..5][6..6]"
 
 
 class TestPartitionAroundBlock:
+    """The strips around a block, listed outward from it on each side."""
+
     def test_seven_cliques_block_at_two(self):
         c = _chain_cover(7, 2)
-        p = partition_around_block(c, Strip(2, 2))
-        assert p.parts == (Strip(0, 2), Strip(2, 2), Strip(4, 2), Strip(6, 1))
-        assert p.block_index == 1
-        assert p.block == Strip(2, 2)
+        left, right = strips_around(c, Strip(2, 2))
+        assert left == [range(0, 2)]
+        assert right == [range(4, 6), range(6, 7)]
 
     def test_five_cliques_block_at_one(self):
         c = _chain_cover(5, 2)
-        p = partition_around_block(c, Strip(1, 2))
-        assert p.parts == (Strip(0, 1), Strip(1, 2), Strip(3, 2))
-        assert p.block_index == 1
+        left, right = strips_around(c, Strip(1, 2))
+        assert left == [range(0, 1)]
+        assert right == [range(3, 5)]
 
     def test_block_is_entire_cover(self):
         c = _chain_cover(3, 2)
-        p = partition_around_block(c, Strip(0, 3))
-        assert p.parts == (Strip(0, 3),)
-        assert p.block_index == 0
-
-    def test_rejects_out_of_range(self):
-        c = _chain_cover(5, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            partition_around_block(c, Strip(4, 2))
-
-    def test_rejects_short_block(self):
-        c = _chain_cover(5, 2)
-        with pytest.raises(ValueError, match="below"):
-            partition_around_block(c, Strip(1, 1))
-
-    def test_accepts_oversized_block(self):
-        c = _chain_cover(6, 2)
-        p = partition_around_block(c, Strip(1, 3))
-        assert p.block == Strip(1, 3)
-        assert p.parts == (Strip(0, 1), Strip(1, 3), Strip(4, 2))
+        assert strips_around(c, Strip(0, 3)) == ([], [])
 
     def test_width_zero_cover_uses_block_size_one(self):
         c = OrderedCliqueCover(complete_graph(4), [{0, 1, 2, 3}])
         assert block_size(c) == 1
-        p = partition_around_block(c, Strip(0, 1))
-        assert p.parts == (Strip(0, 1),)
+        assert strips_around(c, Strip(0, 1)) == ([], [])
 
-    def _assert_partition_invariants(self, c, p):
+    def _assert_tiling(self, c, b, left, right):
         w = block_size(c)
-        # contiguous, covering 0..t exactly
-        expected = 0
-        for part in p.parts:
-            assert part.start == expected
-            assert part.length >= 1
-            expected = part.end
-        assert expected == c.size
-        # interior parts other than the block are exactly blocks;
-        # first and last never exceed the block size
-        for i, part in enumerate(p.parts):
-            if i == p.block_index:
-                assert part.length >= w
-            elif i in (0, len(p.parts) - 1):
-                assert part.length <= w
-            else:
-                assert part.length == w
+        # contiguous going outward from the block on both sides
+        edge = b.start
+        for strip in left:
+            assert strip.stop == edge
+            edge = strip.start
+        edge = b.end
+        for strip in right:
+            assert strip.start == edge
+            edge = strip.stop
+        # inner strips hold exactly w cliques, the outermost at most w
+        for side in (left, right):
+            for i, strip in enumerate(side):
+                if i == len(side) - 1:
+                    assert 1 <= len(strip) <= w
+                else:
+                    assert len(strip) == w
+        # together with the block they cover 0..size-1 exactly
+        indices = [i for strip in left + [b.indices()] + right for i in strip]
+        assert sorted(indices) == list(range(c.size))
 
     def test_invariants_on_random_covers(self):
         rng = random.Random("strips")
@@ -115,8 +96,9 @@ class TestPartitionAroundBlock:
             c = OrderedCliqueCover(g, parts)
             w = block_size(c)
             for start in range(c.size - w + 1):
-                p = partition_around_block(c, Strip(start, w))
-                self._assert_partition_invariants(c, p)
+                b = Strip(start, w)
+                left, right = strips_around(c, b)
+                self._assert_tiling(c, b, left, right)
 
 
 class TestLocateEnclosingBlock:
@@ -168,8 +150,15 @@ class TestLocateEnclosingBlock:
             else:
                 s = {rng.randrange(g.n)}
             strip = locate_enclosing_block(c, s)
-            for v in s:
-                assert strip.start <= c.clique_index(v) < strip.end
+            hits = [c.clique_index(v) for v in s]
+            for i in hits:
+                assert strip.start <= i < strip.end
+            # block size or hit span, whichever is larger, capped at the
+            # cover; it starts at the first hit unless that runs past the end
+            lo, hi = min(hits), max(hits)
+            length = min(max(block_size(c), hi - lo + 1), c.size)
+            assert strip.length == length
+            assert strip.start == (lo if lo + length <= c.size else c.size - length)
 
 
 class TestBlockSeparation:
