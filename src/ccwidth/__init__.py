@@ -67,11 +67,7 @@ from .solvers import (
     format_bandwidth_result,
     format_ccw_result,
 )
-from .strips import (
-    Strip,
-    block_size,
-    locate_enclosing_block,
-)
+from .strips import block_size, locate_enclosing_block
 
 __version__ = "0.1.0"
 
@@ -90,7 +86,6 @@ __all__ = [
     "LinearOrdering",
     "OrderedCliqueCover",
     "SpanCheck",
-    "Strip",
     "WidthCertificate",
     "bandwidth_exact",
     "block_size",

@@ -25,6 +25,10 @@ ties; in the regular geometry that is exactly the middle position.  All
 positions are scored in one pass over the edges: an insertion only
 lengthens the edges that cross it and the edges of the new clique.
 
+When even the best insertion misses the bound, compose keeps S inside
+one side's own cliques instead of extracting it, and failing that
+reorders a clique set by a capped search (``_place_within_bound``).
+
 Degenerate widths take documented detours:
 
 * empty shared set: plain concatenation (disjoint union), bound
@@ -40,8 +44,9 @@ Degenerate widths take documented detours:
   spans of 1, so the certificate carries bound 1 and flags the
   adjustment.
 
-Every certificate is independently re-checkable: the verifier
-revalidates the cover and both width figures from scratch.
+Every certificate is re-checkable: the verifier revalidates the cover
+and its achieved width from scratch and ties the bound to the recorded
+input widths, which the certificate file carries but cannot prove.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .graph import (
     clique_sum,
     clique_sum_map,
     format_edge_list,
-    is_clique,
     read_edge_list,
 )
 from .layout import (
@@ -70,7 +74,7 @@ from .layout import (
     validate_cover,
 )
 from .solvers import SearchBudgetExceeded, _ordered_cover_within
-from .strips import Strip, block_size, locate_enclosing_block, strips_around
+from .strips import block_size, locate_enclosing_block, strips_around
 
 T = TypeVar("T")
 
@@ -113,7 +117,7 @@ class InterleaveLayout:
         return {idx: pos for pos, (src, idx) in enumerate(self.seq) if src == source}
 
 
-def _anchor_block(c: OrderedCliqueCover, vs: frozenset[int]) -> Strip:
+def _anchor_block(c: OrderedCliqueCover, vs: frozenset[int]) -> range:
     """Block-sized window anchored on the cliques meeting ``vs``.
 
     When the enclosing window spans w + 1 cliques, one more than a block
@@ -122,8 +126,7 @@ def _anchor_block(c: OrderedCliqueCover, vs: frozenset[int]) -> Strip:
     ``vs``, so either w-clique sub-window covers the same number of the
     cliques meeting it, and the left one is the tie-break.
     """
-    block = locate_enclosing_block(c, vs)
-    return Strip(block.start, min(block.length, block_size(c)))
+    return locate_enclosing_block(c, vs)[: block_size(c)]
 
 
 def interleaved_sequence(
@@ -154,7 +157,7 @@ def interleaved_sequence(
     left = [paired(a, b) for a, b in zip_longest(left1, left2, fillvalue=())]
     seq = [entry for segment in reversed(left) for entry in segment]
     block_start = len(seq)
-    seq += paired(b1.indices(), b2.indices())
+    seq += paired(b1, b2)
     block_length = len(seq) - block_start
     for a, b in zip_longest(right1, right2, fillvalue=()):
         seq += paired(a, b)
@@ -165,9 +168,9 @@ def interleaved_sequence(
 class WidthCertificate:
     """A composed cover plus the width bound it promises.
 
-    Plain data; nothing here is trusted.  ``verify_certificate``
-    recomputes validity and widths from scratch, so forged or corrupted
-    certificates are detected rather than rejected at construction.
+    Plain data; nothing here is trusted.  ``verify_certificate`` re-checks
+    the cover and its width and ties ``bound`` to ``w1`` and ``w2``, so
+    corrupted certificates are detected, not rejected at construction.
     """
 
     graph: Graph
@@ -288,77 +291,41 @@ def _best_insertion(
     return width, kept[:p] + [item] + kept[p:]
 
 
-def _place_with_absorption(
+def _place_within_bound(
     g: Graph,
     raw: list[frozenset[int]],
     base: frozenset[int],
-    home_slots: Sequence[int],
     anchor: int,
     bound: int,
-    extra_variants: Callable[[], Sequence[list[frozenset[int]]]] = lambda: (),
+    variants: Callable[[], Sequence[list[frozenset[int]]]] = lambda: (),
 ) -> list[frozenset[int]]:
-    """Place ``base`` into ``raw``, falling back to repairs only if needed.
+    """Place ``base`` into ``raw``, climbing a repair ladder only on a miss.
 
-    The plain placement (the new clique holds exactly ``base``) wins
-    whenever it meets ``bound``.  Otherwise two deterministic escape
-    hatches are scanned, both aimed at the straddling shared set whose
-    neighbors can outnumber the positions available within the bound:
-
-    * absorption: fold the leftovers of the cliques the shared set was
-      extracted from (``home_slots``) into the new clique, when the
-      union is still a clique, removing both a clique and a constraint;
-    * ``extra_variants()``: complete alternative sequences (no insertion
-      step), such as keeping the shared vertices inside one side's
-      original cliques instead of extracting them; built only once the
-      plain placement has missed the bound.
-
-    The smallest realized width wins; plain placement, then fewer
-    absorptions, then earlier variants break ties.  When that still
-    misses ``bound``, each candidate clique set is reordered by a capped
-    search; raises ``ValueError`` if none fits within ``bound``.
+    Each rung runs only when the one before it misses ``bound``: (1) the
+    best insertion of a new clique holding exactly ``base``; (2) the
+    narrowest of ``variants()``, whole alternative sequences such as
+    keeping the shared vertices in one side's own cliques, earlier ones
+    winning ties; (3) a capped reorder of the plain clique set, then of
+    each variant's.  Raises ``ValueError`` if no rung fits.
     """
     width, final = _best_insertion(g, raw, base, anchor)
     if width <= bound:
         return final
-    variants = extra_variants()
-    slots = [i for i in home_slots if raw[i]]
-    best_key: tuple[int, int, int, tuple[int, ...]] = (width, 0, 0, ())
-    best_final = final
-    for mask in range(1, 1 << len(slots)):
-        subset = tuple(i for bit, i in enumerate(slots) if (mask >> bit) & 1)
-        merged = base.union(*(raw[i] for i in subset))
-        if not is_clique(g, merged):
-            continue
-        variant = list(raw)
-        for i in subset:
-            variant[i] = frozenset()
-        w, fin = _best_insertion(g, variant, merged, anchor)
-        key = (w, 1, len(subset), subset)
-        if key < best_key:
-            best_key = key
-            best_final = fin
-    for rank, seq in enumerate(variants):
-        fin = [cl for cl in seq if cl]
-        w = sequence_width(g, fin)
-        key = (w, 2, rank, ())
-        if key < best_key:
-            best_key = key
-            best_final = fin
-    if best_key[0] <= bound:
-        return best_final
+    kept = [[cl for cl in seq if cl] for seq in variants()]
+    widths = [sequence_width(g, cliques) for cliques in kept]
+    narrowest = min(widths, default=width)
+    if narrowest <= bound:
+        return kept[widths.index(narrowest)]
     # Last resort: the clique sets are sound, only their order is off.
     # Finding an order of width <= bound is a bandwidth decision on the
-    # cover's quotient graph; try each candidate set, budget-capped.
-    candidate_sets: list[list[frozenset[int]]] = [
-        [cl for cl in raw if cl] + [base]
-    ]
-    candidate_sets.extend([cl for cl in seq if cl] for seq in variants)
-    for cliques in candidate_sets:
+    # cover's quotient graph; try each clique set, budget-capped.
+    for cliques in [[cl for cl in raw if cl] + [base], *kept]:
         reordered = _reorder_within_bound(g, cliques, bound)
         if reordered is not None:
             return reordered
     raise ValueError(
-        f"composition missed its bound: achieved {best_key[0]} > bound {bound}"
+        "composition missed its bound: "
+        f"achieved {min(width, narrowest)} > bound {bound}"
     )
 
 
@@ -384,7 +351,7 @@ def _one_sided_zero_parts(
     shared_wide: frozenset[int],
     translate_zero,
     translate_wide,
-) -> tuple[list[frozenset[int]], frozenset[int], int, list[int]]:
+) -> tuple[list[frozenset[int]], frozenset[int], int]:
     """Composition pieces when exactly the ``c_zero`` side has width 0.
 
     The shared set sits inside a single clique B of the width-0 side
@@ -393,7 +360,7 @@ def _one_sided_zero_parts(
     vertices are deleted from the other side only.  Remaining width-0
     cliques have no edges leaving them and keep their relative order
     around the insertion.  Returns (sequence without B, B itself, the
-    natural insertion index for B, absorbable home-remnant slots).
+    natural insertion index for B).
     """
     hit_zero = {c_zero.clique_index(v) for v in shared_zero}
     assert len(hit_zero) == 1, "width-0 cover cannot split a clique"
@@ -407,8 +374,7 @@ def _one_sided_zero_parts(
     ]
     raw = before + wide + after
     anchor = len(before) + mid + 1
-    slots = [len(before) + h for h in hits]
-    return raw, translate_zero(c_zero.cliques[bz]), anchor, slots
+    return raw, translate_zero(c_zero.cliques[bz]), anchor
 
 
 def compose_covers(
@@ -447,41 +413,27 @@ def compose_covers(
         bound = max(w1, w2)
     elif (w1 == 0) != (w2 == 0):
         if w1 == 0:
-            raw, block, anchor, slots = _one_sided_zero_parts(
-                c1, c2, s1, s2, frozenset, tr2
-            )
+            raw, block, anchor = _one_sided_zero_parts(c1, c2, s1, s2, frozenset, tr2)
         else:
-            raw, block, anchor, slots = _one_sided_zero_parts(
-                c2, c1, s2, s1, tr2, frozenset
-            )
+            raw, block, anchor = _one_sided_zero_parts(c2, c1, s2, s1, tr2, frozenset)
         bound = ceil_three_halves(w1 + w2)
-        final = tuple(
-            _place_with_absorption(composed, raw, block, slots, anchor, bound)
-        )
+        final = tuple(_place_within_bound(composed, raw, block, anchor, bound))
     else:
         layout = interleaved_sequence(c1, c2, shared)
         raw = _skeleton(layout, c1, c2, shared, g2_map)
         anchor = layout.block_start + layout.block_length // 2
-        homes1 = {c1.clique_index(v) for v in s1}
-        homes2 = {c2.clique_index(v) for v in s2}
-        slots = [
-            pos
-            for pos, (src, idx) in enumerate(layout.seq)
-            if idx in (homes1 if src == 1 else homes2)
-        ]
         bound = ceil_three_halves(w1 + w2)
         if w1 + w2 == 0:
             bound += 1
             adjusted = True
         final = tuple(
-            _place_with_absorption(
+            _place_within_bound(
                 composed,
                 raw,
                 s1,
-                slots,
                 anchor,
                 bound,
-                extra_variants=lambda: [
+                lambda: [
                     _skeleton(layout, c1, c2, shared, g2_map, keep_side=side)
                     for side in (1, 2)
                 ],
@@ -501,11 +453,13 @@ def compose_covers(
 
 
 def verify_certificate(cert: WidthCertificate) -> CoverCheck:
-    """Re-check a certificate from scratch; trusts none of its fields.
+    """Re-check a certificate against what it carries.
 
-    Validates the cover against the composed graph, recomputes the cover
-    width, and confirms both that the recorded achieved width is honest
-    and that it stays within the claimed bound.
+    Validates the cover against the composed graph, recomputes its width
+    to confirm ``achieved``, and checks that ``bound`` is at most
+    max(ceil(3/2 * (w1 + w2)), 1) and that ``achieved`` stays within
+    it.  ``w1`` and ``w2`` are taken as recorded: the certificate carries
+    no input graph or cover to recompute them from.
     """
     check = validate_cover(cert.graph, cert.cliques)
     if not check:
@@ -516,6 +470,13 @@ def verify_certificate(cert: WidthCertificate) -> CoverCheck:
             False,
             f"achieved width mismatch: cover has width {width}, "
             f"certificate records {cert.achieved}",
+        )
+    limit = max(ceil_three_halves(cert.w1 + cert.w2), 1)
+    if cert.bound > limit:
+        return CoverCheck(
+            False,
+            f"bound {cert.bound} exceeds {limit}, the most that "
+            f"w1 {cert.w1} and w2 {cert.w2} allow",
         )
     if cert.achieved > cert.bound:
         return CoverCheck(

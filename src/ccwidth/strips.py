@@ -1,12 +1,12 @@
 """Strips, blocks, and the strips counted outward from a central block.
 
-A strip is a run of consecutive cliques in an ordered cover; a block is
-a strip whose cardinality equals the cover width w (taken as 1 when
-w = 0 so the machinery stays total).  Around a block B the cover is
-tiled by strips counted outward from B on each side: every strip holds
-w cliques except the outermost one on a side, which takes the at most w
-cliques left over.  Strip distance from B is the position in that
-nearest-first list.
+A strip is a run of consecutive cliques in an ordered cover, held as the
+``range`` of its clique indices; a block is a strip whose cardinality
+equals the cover width w (taken as 1 when w = 0 so the machinery stays
+total).  Around a block B the cover is tiled by strips counted outward
+from B on each side: every strip holds w cliques except the outermost
+one on a side, which takes the at most w cliques left over.  Strip
+distance from B is the position in that nearest-first list.
 
 Removing a block's cliques separates the cliques before it from the
 cliques after it: no edge can jump over w consecutive cliques.
@@ -15,38 +15,16 @@ The enclosing block for a clique S of vertices is the minimal window of
 cliques meeting S, grown (rightward first) to block length.  Because the
 members of S pairwise sit at clique distance <= w, the minimal window
 has at most w + 1 cliques, so the located block can exceed the nominal
-block length by one; downstream consumers accept that and the composed
-result is always re-checked by an independent verifier.
+block length by one; slicing the range to ``[:w]`` keeps its left w
+cliques, which is how composition anchors its interleave.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import is_clique
 from .layout import OrderedCliqueCover, cover_width
-
-
-@dataclass(frozen=True)
-class Strip:
-    """A run of ``length`` consecutive cliques starting at index ``start``."""
-
-    start: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        """One past the last clique index."""
-        return self.start + self.length
-
-    def indices(self) -> range:
-        return range(self.start, self.end)
-
-    def __str__(self) -> str:
-        if self.length == 0:
-            return "[]"
-        return f"[{self.start}..{self.end - 1}]"
 
 
 def block_size(c: OrderedCliqueCover) -> int:
@@ -54,7 +32,7 @@ def block_size(c: OrderedCliqueCover) -> int:
     return max(cover_width(c), 1)
 
 
-def strips_around(c: OrderedCliqueCover, b: Strip) -> tuple[list[range], list[range]]:
+def strips_around(c: OrderedCliqueCover, b: range) -> tuple[list[range], list[range]]:
     """Clique index ranges of the strips left and right of ``b``, nearest first.
 
     Each strip holds the block size w of cliques; the outermost strip on
@@ -63,11 +41,11 @@ def strips_around(c: OrderedCliqueCover, b: Strip) -> tuple[list[range], list[ra
     """
     w = block_size(c)
     left = [range(max(end - w, 0), end) for end in range(b.start, 0, -w)]
-    right = [range(i, min(i + w, c.size)) for i in range(b.end, c.size, w)]
+    right = [range(i, min(i + w, c.size)) for i in range(b.stop, c.size, w)]
     return left, right
 
 
-def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> Strip:
+def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> range:
     """Smallest window of cliques containing the clique ``s``, at block size.
 
     The window covering every cover clique that meets ``s`` is expanded
@@ -83,4 +61,5 @@ def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> Strip:
     hit = [c.clique_index(v) for v in vs]
     lo, hi = min(hit), max(hit)
     length = min(max(block_size(c), hi - lo + 1), c.size)
-    return Strip(min(lo, c.size - length), length)
+    start = min(lo, c.size - length)
+    return range(start, start + length)

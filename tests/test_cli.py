@@ -142,6 +142,30 @@ class TestComposeAndVerify:
         assert code == 1
         assert "bound violated" in err
 
+    def test_verify_ties_bound_to_widths(self, tmp_path, capsys, monkeypatch):
+        code, out, _ = run_cli(["gen", "--kind", "path-sum", "--t", "2"], capsys=capsys)
+        assert code == 0
+        bundle = tmp_path / "inst.txt"
+        bundle.write_text(out)
+        cert_file = tmp_path / "cert.txt"
+        code, _, _ = run_cli(
+            ["compose", "--instance", str(bundle), "--out", str(cert_file)],
+            capsys=capsys,
+        )
+        assert code == 0
+        text = cert_file.read_text()
+        assert "w1 1\n" in text and "bound 3\n" in text
+        # a raised bound with a w1 inflated to match it, but not far enough
+        forged = tmp_path / "forged.txt"
+        forged.write_text(
+            text.replace("w1 1\n", "w1 50\n").replace("bound 3\n", "bound 99\n")
+        )
+        code, out, err = run_cli(["verify", str(forged)], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid certificate: bound 99 exceeds 77")
+        assert len(err.splitlines()) == 1
+
     def test_compose_rejects_truncated_instance(self, tmp_path, capsys, monkeypatch):
         code, out, _ = run_cli(["gen", "--kind", "path-sum", "--t", "2"], capsys=capsys)
         assert code == 0

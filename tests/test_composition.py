@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccwidth import (
+    Graph,
     OrderedCliqueCover,
     ccw_exact,
     ceil_three_halves,
@@ -21,11 +22,12 @@ from ccwidth import (
     path_graph,
     random_clique_sum_instance,
     sequence_width,
+    star_graph,
     validate_cover,
     verify_certificate,
 )
-from ccwidth.composition import _best_insertion, _skeleton
-from conftest import graphs, scan_insertion
+from ccwidth.composition import _best_insertion, _place_within_bound, _skeleton
+from conftest import brute_ccw, graphs, scan_insertion
 
 
 def _instances(seed_prefix, count, **kwargs):
@@ -108,6 +110,24 @@ class TestComposeCoversExamples:
         assert verify_certificate(cert).ok
         assert ccw_exact(cert.graph).value == 1  # bowtie
 
+    def test_paper_bound_taken_literally_fails_with_a_width_zero_side(self):
+        # 3/2 * (ccw(G1) + ccw(G2)) read literally is beaten by the two
+        # smallest sums with a width-0 side: K_{1,3} + K_2 glued at the
+        # centre (K_{1,4}) and two triangles sharing a vertex (bowtie).
+        # The certificate's ceiling and both-zero adjustment cover both.
+        star, k2, k3 = star_graph(3), complete_graph(2), complete_graph(3)
+        cases = [(star, k2, 2, (1, 0), 2, False), (k3, k3, 1, (0, 0), 1, True)]
+        for g1, g2, ccw, widths, bound, adjusted in cases:
+            c1, c2 = ccw_exact(g1).witness, ccw_exact(g2).witness
+            composed = clique_sum(g1, g2, {0: 0})
+            assert brute_ccw(composed) == ccw
+            assert 2 * ccw > 3 * sum(widths)
+            cert = compose_covers(g1, c1, g2, c2, {0: 0})
+            assert (cert.w1, cert.w2) == widths
+            assert (cert.bound, cert.bound_adjusted) == (bound, adjusted)
+            assert cert.achieved <= cert.bound
+            assert verify_certificate(cert).ok
+
     def test_empty_shared_concatenates(self):
         p3 = path_graph(3)
         c1 = OrderedCliqueCover(p3, [{0, 1}, {2}])
@@ -143,13 +163,13 @@ class TestComposeCoversExamples:
             shared_composed = frozenset(inst.shared.keys())
             # cover validity already forces single occurrence; additionally,
             # outside the fallback regimes the whole shared set lives in one
-            # clique (the extracted clique, possibly grown by absorption)
+            # clique, the extracted one
             owners = [cl for cl in cert.cliques if cl & shared_composed]
             if (inst.w1 == 0) != (inst.w2 == 0):
                 continue  # kept-whole regime places them in the old clique
             if len(owners) == 1 and shared_composed <= owners[0]:
                 continue
-            spread += 1  # reordering fallbacks may keep side cliques intact
+            spread += 1  # side-kept and reordered sets may keep side cliques
         assert spread <= 1
 
 
@@ -209,9 +229,10 @@ class TestComposeCoversCorpus:
         """One-pass insertion scoring picks the scan's width and sequence.
 
         Each vertex goes to a raw entry or to the inserted item (slot
-        -1), so some entries stay empty; absorbed entries are merged
-        into the item and emptied, as the absorption repair does.  Every
-        anchor is tried, since the anchor decides among equal widths.
+        -1), so some entries stay empty; some entries are also merged
+        into the item and emptied, for larger items and more empty
+        entries.  Every anchor is tried, since the anchor decides among
+        equal widths.
         """
         length = data.draw(st.integers(0, g.n + 2))
         slots = data.draw(
@@ -239,6 +260,36 @@ class TestComposeCoversCorpus:
             compose_covers(p3, c5, p3, c3, {1: 1})
 
 
+class TestPlaceWithinBound:
+    """The repair ladder on two disjoint edges, 0-1 and 2-3, at bound 0.
+
+    No sequence that splits an edge has width 0, so inserting {1} into
+    {0}, {2}, {3} always misses and only whole-edge variants can fit.
+    """
+
+    G = Graph(4, [(0, 1), (2, 3)])
+    RAW = [frozenset({0}), frozenset({2}), frozenset({3})]
+    A = [frozenset({0, 1}), frozenset({2, 3})]
+    B = [frozenset({2, 3}), frozenset(), frozenset({0, 1})]
+    WIDE = [frozenset({0}), frozenset({2}), frozenset({1}), frozenset({3})]
+
+    def _place(self, bound, *variants):
+        return _place_within_bound(
+            self.G, self.RAW, frozenset({1}), 0, bound, lambda: variants
+        )
+
+    def test_insertion_within_bound_needs_no_variant(self):
+        assert sequence_width(self.G, self._place(1)) == 1
+
+    def test_narrowest_variant_wins_and_ties_go_to_the_earlier(self):
+        assert self._place(0, self.WIDE, self.B, self.A) == self.B[::2]
+        assert self._place(0, self.A, self.B) == self.A
+
+    def test_raises_when_no_rung_fits(self):
+        with pytest.raises(ValueError, match="achieved 1 > bound 0"):
+            self._place(0, self.WIDE)
+
+
 class TestVerifyCertificate:
     def _cert(self):
         p3 = path_graph(3)
@@ -263,6 +314,13 @@ class TestVerifyCertificate:
         check = verify_certificate(forged)
         assert not check.ok
         assert "bound violated" in check.reason
+
+    def test_detects_bound_above_the_widths(self):
+        cert = self._cert()  # w1 = w2 = 1, so the bound may be at most 3
+        check = verify_certificate(dataclasses.replace(cert, bound=4))
+        assert not check.ok
+        assert check.reason == "bound 4 exceeds 3, the most that w1 1 and w2 1 allow"
+        assert verify_certificate(dataclasses.replace(cert, bound=3)).ok
 
     def test_detects_wrong_achieved(self):
         cert = self._cert()

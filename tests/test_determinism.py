@@ -3,14 +3,17 @@
 The CSV digests and witnesses were recorded with the partition-enumeration
 ccw solver, so they hold every later solver to the same lex-min
 witnesses and the same CSV bytes.  The certificate digest was recorded
-before the composition skeleton was built once per compose, so it holds
-every later composition to the same certificate bytes.  The layout
+when compose's repair ladder lost absorption (folding the shared set's
+home remnants into the new clique), which changed one of these
+certificates; it holds every later composition to the same certificate
+bytes.  The layout
 digest was recorded while strips were still built as a partition of
 each cover around its anchor block, so it holds every later interleave
 to the same sequences and span checks.  The bandwidth
 witness digest and the reorder-fallback certificates were recorded with
 the position-by-position bandwidth DFS, before the bandwidth search and
-the compose reorder fallback moved onto the ordered-cover search.
+the compose reorder fallback moved onto the ordered-cover search; the
+(0, 777) one was recorded with the ladder that has no absorption.
 """
 
 import hashlib
@@ -42,17 +45,22 @@ EXPERIMENT_SHA256 = {
 
 LAYOUT_SHA256 = "d3fd083939da7225ce081dfd01d0459a009a921faa2e405c72f266c1b7cae8ae"
 
-CERTIFICATE_SHA256 = "65b71502a96b0755be6db1b25290070715e81ef6c2f13cab54ba79a9d84bc1dc"
+CERTIFICATE_SHA256 = "744cc674f3d9ca770c1d4e03a244d1d8a6d233ba21eea736ef92089aea30ab86"
 
 BANDWIDTH_WITNESS_SHA256 = (
     "ceb7b9b8451fa23a39f38bbd63a11ee7fd852f456af97415c2a7f382aaadd2d3"
 )
 
-# Instances whose plain placement, absorptions and side-kept variants all
-# miss the bound, so compose reaches the reorder fallback: (candidate
-# sets tried, certificate sha256).  In (1, 725) the first candidate set
-# cannot be reordered within the bound and the side-kept one can.
-FALLBACK_PARAMS = {1: dict(p_lo=0.4, p_hi=0.9), 2: dict(p_lo=0.1, p_hi=0.5)}
+# Instances whose plain placement and side-kept variants all miss the
+# bound, so compose reaches the reorder fallback: (candidate sets tried,
+# certificate sha256).  In (1, 725) the first candidate set cannot be
+# reordered within the bound and the side-kept one can.  (0, 777) is
+# the one whose bound only absorption met before the ladder lost it.
+FALLBACK_PARAMS = {
+    0: {},
+    1: dict(p_lo=0.4, p_hi=0.9),
+    2: dict(p_lo=0.1, p_hi=0.5),
+}
 FALLBACK_CERTIFICATES = {
     (1, 725): (
         [False, True],
@@ -69,6 +77,10 @@ FALLBACK_CERTIFICATES = {
     (2, 1549): (
         [True],
         "5bbd858fc283cfe9e83eda666c7d17c5780ec011756cab31c4d127fbfa0e7dab",
+    ),
+    (0, 777): (
+        [True],
+        "9f9030cc56b2c3e7d4599dbf3204bbe3cb0151d06082241eb42fa711730da162",
     ),
 }
 
@@ -137,7 +149,7 @@ def test_bandwidth_witness_digest():
     assert digest.hexdigest() == BANDWIDTH_WITNESS_SHA256
 
 
-@pytest.mark.parametrize("key", sorted(FALLBACK_CERTIFICATES))
+@pytest.mark.parametrize("key", list(FALLBACK_CERTIFICATES))
 def test_reorder_fallback_certificates(key, monkeypatch):
     s, i = key
     expected_tries, expected_sha = FALLBACK_CERTIFICATES[key]

@@ -1,11 +1,13 @@
 """The documented entry points and the package's export list agree."""
 
+import ast
 import re
 from pathlib import Path
 
 import ccwidth
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_entry_points_and_all_resolve():
@@ -16,3 +18,19 @@ def test_readme_entry_points_and_all_resolve():
     assert len(ccwidth.__all__) == len(set(ccwidth.__all__))
     for name in ccwidth.__all__:
         assert hasattr(ccwidth, name), name
+
+
+def test_benchmark_names_are_exported():
+    """Every name the benchmark reads off ``lib`` (or ``self.lib``) is exported."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute) or node.attr.startswith("__"):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "lib" or (
+                isinstance(owner, ast.Attribute) and owner.attr == "lib"
+            ):
+                names.add(node.attr)
+    assert len(names) >= 20, sorted(names)
+    assert sorted(names - set(ccwidth.__all__)) == []

@@ -5,7 +5,6 @@ import pytest
 from ccwidth import (
     Graph,
     OrderedCliqueCover,
-    Strip,
     block_size,
     complete_graph,
     cover_width,
@@ -31,40 +30,29 @@ def _chain_cover(num_cliques: int, width: int):
     return c
 
 
-class TestStrip:
-    def test_end_and_indices(self):
-        s = Strip(2, 3)
-        assert s.end == 5
-        assert list(s.indices()) == [2, 3, 4]
-
-    def test_debug_printing_uses_index_ranges(self):
-        assert str(Strip(2, 3)) == "[2..4]"
-        assert str(Strip(0, 0)) == "[]"
-
-
 class TestPartitionAroundBlock:
     """The strips around a block, listed outward from it on each side."""
 
     def test_seven_cliques_block_at_two(self):
         c = _chain_cover(7, 2)
-        left, right = strips_around(c, Strip(2, 2))
+        left, right = strips_around(c, range(2, 4))
         assert left == [range(0, 2)]
         assert right == [range(4, 6), range(6, 7)]
 
     def test_five_cliques_block_at_one(self):
         c = _chain_cover(5, 2)
-        left, right = strips_around(c, Strip(1, 2))
+        left, right = strips_around(c, range(1, 3))
         assert left == [range(0, 1)]
         assert right == [range(3, 5)]
 
     def test_block_is_entire_cover(self):
         c = _chain_cover(3, 2)
-        assert strips_around(c, Strip(0, 3)) == ([], [])
+        assert strips_around(c, range(0, 3)) == ([], [])
 
     def test_width_zero_cover_uses_block_size_one(self):
         c = OrderedCliqueCover(complete_graph(4), [{0, 1, 2, 3}])
         assert block_size(c) == 1
-        assert strips_around(c, Strip(0, 1)) == ([], [])
+        assert strips_around(c, range(0, 1)) == ([], [])
 
     def _assert_tiling(self, c, b, left, right):
         w = block_size(c)
@@ -73,7 +61,7 @@ class TestPartitionAroundBlock:
         for strip in left:
             assert strip.stop == edge
             edge = strip.start
-        edge = b.end
+        edge = b.stop
         for strip in right:
             assert strip.start == edge
             edge = strip.stop
@@ -85,7 +73,7 @@ class TestPartitionAroundBlock:
                 else:
                     assert len(strip) == w
         # together with the block they cover 0..size-1 exactly
-        indices = [i for strip in left + [b.indices()] + right for i in strip]
+        indices = [i for strip in left + [b] + right for i in strip]
         assert sorted(indices) == list(range(c.size))
 
     def test_invariants_on_random_covers(self):
@@ -96,7 +84,7 @@ class TestPartitionAroundBlock:
             c = OrderedCliqueCover(g, parts)
             w = block_size(c)
             for start in range(c.size - w + 1):
-                b = Strip(start, w)
+                b = range(start, start + w)
                 left, right = strips_around(c, b)
                 self._assert_tiling(c, b, left, right)
 
@@ -104,29 +92,29 @@ class TestPartitionAroundBlock:
 class TestLocateEnclosingBlock:
     def test_single_clique_window(self):
         c = OrderedCliqueCover(path_graph(5), [{0, 1}, {2, 3}, {4}])
-        assert locate_enclosing_block(c, {2}) == Strip(1, 1)
+        assert locate_enclosing_block(c, {2}) == range(1, 2)
 
     def test_span_equals_block_size(self):
         # width-2 cover where the set straddles two neighboring cliques
         g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
         c = OrderedCliqueCover(g, [{0}, {1}, {2}, {3}, {4}, {5}])
         assert cover_width(c) == 2
-        assert locate_enclosing_block(c, {2, 3}) == Strip(2, 2)
+        assert locate_enclosing_block(c, {2, 3}) == range(2, 4)
 
     def test_span_exceeding_block_size(self):
         # shared set straddling w+1 cliques: the window may exceed the
         # nominal block size by one
         c = OrderedCliqueCover(path_graph(3), [{0, 1}, {2}])
         assert cover_width(c) == 1
-        assert locate_enclosing_block(c, {1, 2}) == Strip(0, 2)
+        assert locate_enclosing_block(c, {1, 2}) == range(0, 2)
 
     def test_expansion_prefers_rightward(self):
         c = _chain_cover(5, 2)
-        assert locate_enclosing_block(c, {1}) == Strip(1, 2)
+        assert locate_enclosing_block(c, {1}) == range(1, 3)
 
     def test_expansion_falls_back_leftward_at_boundary(self):
         c = _chain_cover(5, 2)
-        assert locate_enclosing_block(c, {4}) == Strip(3, 2)
+        assert locate_enclosing_block(c, {4}) == range(3, 5)
 
     def test_rejects_empty_set(self):
         c = _chain_cover(5, 2)
@@ -149,16 +137,16 @@ class TestLocateEnclosingBlock:
                 s = set(edges[rng.randrange(len(edges))])
             else:
                 s = {rng.randrange(g.n)}
-            strip = locate_enclosing_block(c, s)
+            block = locate_enclosing_block(c, s)
             hits = [c.clique_index(v) for v in s]
             for i in hits:
-                assert strip.start <= i < strip.end
+                assert i in block
             # block size or hit span, whichever is larger, capped at the
             # cover; it starts at the first hit unless that runs past the end
             lo, hi = min(hits), max(hits)
             length = min(max(block_size(c), hi - lo + 1), c.size)
-            assert strip.length == length
-            assert strip.start == (lo if lo + length <= c.size else c.size - length)
+            start = lo if lo + length <= c.size else c.size - length
+            assert block == range(start, start + length)
 
 
 class TestBlockSeparation:
