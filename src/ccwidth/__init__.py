@@ -15,7 +15,6 @@ from .composition import (
     compose_covers,
     edge_span_claim_check,
     format_certificate,
-    interleave,
     interleaved_sequence,
     parse_certificate,
     sequence_width,
@@ -67,7 +66,6 @@ from .solvers import (
     format_bandwidth_result,
     format_ccw_result,
 )
-from .strips import block_size, locate_enclosing_block
 
 __version__ = "0.1.0"
 
@@ -88,7 +86,6 @@ __all__ = [
     "SpanCheck",
     "WidthCertificate",
     "bandwidth_exact",
-    "block_size",
     "ccw_exact",
     "ceil_three_halves",
     "check_inequality_chain",
@@ -107,10 +104,8 @@ __all__ = [
     "format_edge_list",
     "format_ordering",
     "generate",
-    "interleave",
     "interleaved_sequence",
     "is_clique",
-    "locate_enclosing_block",
     "ordering_width",
     "parse_certificate",
     "parse_cover",

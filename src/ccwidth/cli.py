@@ -69,10 +69,12 @@ def _parse_shared(text: str) -> dict[int, int]:
         if not part:
             continue
         try:
-            left, right = part.split("=")
-            mapping[int(left)] = int(right)
+            u, v = map(int, part.split("="))
         except ValueError:
             raise ValueError(f"bad shared map entry {part!r}; expected 'u=v'")
+        if u in mapping:
+            raise ValueError(f"shared map lists side-1 vertex {u} twice")
+        mapping[u] = v
     return mapping
 
 
@@ -97,7 +99,12 @@ def _parse_instance(text: str) -> CliqueSumInstance:
     c1 = OrderedCliqueCover(g1, read_cover(r))
     g2 = read_edge_list(r)
     c2 = OrderedCliqueCover(g2, read_cover(r))
-    shared = dict(r.ints(2) for _ in range(r.expect("shared")))
+    shared: dict[int, int] = {}
+    for _ in range(r.expect("shared")):
+        u, v = r.ints(2)
+        if u in shared:
+            raise r.error(f"side-1 vertex {u} is already shared")
+        shared[u] = v
     return CliqueSumInstance(g1=g1, c1=c1, g2=g2, c2=c2, shared=shared)
 
 
@@ -211,11 +218,8 @@ def _cmd_experiment(args) -> int:
         min_total_width=args.min_total_width,
         t_start=args.t_start,
         ccw_limit=args.limit_ccw,
-        out=None if args.out in (None, "-") else args.out,
     )
-    text = run_experiment(cfg)
-    if cfg.out is None:
-        sys.stdout.write(text)
+    _write_text(args.out, run_experiment(cfg))
     return 0
 
 

@@ -1,15 +1,17 @@
 """Width-certified clique covers for the clique sum of two graphs.
 
 Given covers C1 of G1 and C2 of G2 glued along a shared clique S, the
-construction anchors a block (a strip of exactly w cliques) on each
-side's S-window, counts strips of w cliques outward from each anchor,
+construction anchors a block of w = max(width, 1) cliques on each
+side's S-window and gives every clique a key (strip, offset): strip 0
+is the block, strips 1, 2, ... of w cliques follow it and -1, -2, ...
+precede it, and the offset is the clique's position in its strip.
+Sorting the cliques of both covers by that key, side 2 first on ties,
 interleaves the strips at equal distances from the blocks (unmatched
-outer strips pass through), and glues the pieces into one ordered
-sequence.  A new clique holding exactly S is then inserted, S's
-vertices are deleted everywhere else, emptied cliques are dropped, and
-everything is renumbered into the composed graph.  The result is an
-ordered clique cover of G1 (+) G2 whose width stays within
-ceil(3/2 * (w(C1) + w(C2))).
+outer strips pass through) into one ordered sequence.  A new clique
+holding exactly S is then inserted, S's vertices are deleted everywhere
+else, emptied cliques are dropped, and everything is renumbered into
+the composed graph.  The result is an ordered clique cover of G1 (+) G2
+whose width stays within ceil(3/2 * (w(C1) + w(C2))).
 
 Two details matter for that bound to survive all geometries.  First,
 anchor blocks are never allowed to exceed the nominal block size: the
@@ -17,13 +19,13 @@ shared set pairwise sits at clique distance <= w on each side, which
 confines it to a window of at most w + 1 cliques, one more than a block
 can hold.  Using that oversized window as the block stretches the
 interleave and loses the bound (two glued paths already exhibit it), so
-when S straddles w + 1 cliques the anchor keeps the w of them holding
-most of S and lets one clique sit just outside.  Second, the insertion
-point for the new S-clique minimizes the realized width over all
-positions, preferring the middle of the interleaved block segment on
-ties; in the regular geometry that is exactly the middle position.  All
-positions are scored in one pass over the edges: an insertion only
-lengthens the edges that cross it and the edges of the new clique.
+when S straddles w + 1 cliques the block keeps the left w of them and
+the last one sits just outside.  Second, the insertion point for the
+new S-clique minimizes the realized width over all positions,
+preferring the middle of the interleaved block segment on ties; in the
+regular geometry that is exactly the middle position.  All positions
+are scored in one pass over the edges: an insertion only lengthens the
+edges that cross it and the edges of the new clique.
 
 When even the best insertion misses the bound, compose keeps S inside
 one side's own cliques instead of extracting it, and failing that
@@ -52,8 +54,8 @@ input widths, which the certificate file carries but cannot prove.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
-from typing import Callable, Sequence, TypeVar
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from .graph import (
     Graph,
@@ -61,6 +63,7 @@ from .graph import (
     clique_sum,
     clique_sum_map,
     format_edge_list,
+    is_clique,
     read_edge_list,
 )
 from .layout import (
@@ -74,30 +77,11 @@ from .layout import (
     validate_cover,
 )
 from .solvers import SearchBudgetExceeded, _ordered_cover_within
-from .strips import block_size, locate_enclosing_block, strips_around
-
-T = TypeVar("T")
 
 
 def ceil_three_halves(x: int) -> int:
     """ceil(3x/2) for nonnegative integers."""
     return (3 * x + 1) // 2
-
-
-def interleave(s1: Sequence[T], s2: Sequence[T]) -> list[T]:
-    """Alternate two sequences starting with the second, then append the rest.
-
-    Output is s2[0], s1[0], s2[1], s1[1], ... until one side runs out,
-    followed by the remainder of the other side.  Either side may be
-    empty, in which case the other is returned unchanged.
-    """
-    out: list[T] = []
-    for i in range(max(len(s1), len(s2))):
-        if i < len(s2):
-            out.append(s2[i])
-        if i < len(s1):
-            out.append(s1[i])
-    return out
 
 
 # Sequence entries are (source, clique_index) with source 1 or 2.
@@ -117,16 +101,20 @@ class InterleaveLayout:
         return {idx: pos for pos, (src, idx) in enumerate(self.seq) if src == source}
 
 
-def _anchor_block(c: OrderedCliqueCover, vs: frozenset[int]) -> range:
-    """Block-sized window anchored on the cliques meeting ``vs``.
+def _strip_keys(size: int, w: int, anchor: int) -> list[tuple[int, int]]:
+    """(strip, offset) of each of ``size`` cliques, by clique index.
 
-    When the enclosing window spans w + 1 cliques, one more than a block
-    can hold, keeps its left w cliques; the last clique then sits
-    immediately outside the anchor.  Both ends of such a window meet
-    ``vs``, so either w-clique sub-window covers the same number of the
-    cliques meeting it, and the left one is the tie-break.
+    Strip 0 is the block of ``w`` cliques starting at ``anchor``; strips
+    1, 2, ... follow it and strips -1, -2, ... precede it, each of ``w``
+    cliques except the outermost on a side, which holds what is left.
+    The offset is the clique's position inside its strip, so a short
+    outermost left strip counts from clique 0.
     """
-    return locate_enclosing_block(c, vs)[: block_size(c)]
+    keys = []
+    for i in range(size):
+        strip = (i - anchor) // w
+        keys.append((strip, i - max(anchor + strip * w, 0)))
+    return keys
 
 
 def interleaved_sequence(
@@ -136,32 +124,35 @@ def interleaved_sequence(
 ) -> InterleaveLayout:
     """The interleave skeleton: anchor blocks, strips, interleaves.
 
-    Strips are counted outward from each side's anchor block, and the
-    two strips at the same distance from their blocks are interleaved; a
-    strip without a partner on the other side passes through unchanged.
-    Returns the flattened sequence of tagged cliques in which every
-    clique of c1 and of c2 appears exactly once, cliques of each source
-    in their original relative order.  Raises ``ValueError`` unless the
-    shared set is nonempty and a clique on both sides.
+    Each side's anchor block holds w = max(width, 1) cliques and starts
+    at the first clique meeting the shared set, moved left only as far
+    as the cover's end requires.  The shared set is a clique, so its
+    cliques span at most w + 1; when they span w + 1 the last one sits
+    just right of the block.  Sorting the cliques of both covers by
+    (strip, offset, side 2 first) interleaves the two strips at the same
+    distance from their blocks, a strip without a partner passing
+    through unchanged.  Every clique of c1 and of c2 appears exactly
+    once, cliques of each source in their original relative order.
+    Raises ``ValueError`` unless the shared set is nonempty and a
+    clique on both sides.
     """
     if not shared:
         raise ValueError("interleaved sequence requires a nonempty shared set")
-    b1 = _anchor_block(c1, frozenset(shared.keys()))
-    b2 = _anchor_block(c2, frozenset(shared.values()))
-    left1, right1 = strips_around(c1, b1)
-    left2, right2 = strips_around(c2, b2)
-
-    def paired(a: Sequence[int], b: Sequence[int]) -> list[TaggedClique]:
-        return interleave([(1, i) for i in a], [(2, i) for i in b])
-
-    left = [paired(a, b) for a, b in zip_longest(left1, left2, fillvalue=())]
-    seq = [entry for segment in reversed(left) for entry in segment]
-    block_start = len(seq)
-    seq += paired(b1, b2)
-    block_length = len(seq) - block_start
-    for a, b in zip_longest(right1, right2, fillvalue=()):
-        seq += paired(a, b)
-    return InterleaveLayout(tuple(seq), block_start, block_length)
+    entries = []
+    for source, c, vs in ((1, c1, shared.keys()), (2, c2, shared.values())):
+        if not is_clique(c.graph, vs):
+            raise ValueError(f"shared set does not induce a clique on side {source}")
+        w = max(cover_width(c), 1)
+        anchor = min(min(map(c.clique_index, vs)), c.size - w)
+        for i, (strip, offset) in enumerate(_strip_keys(c.size, w, anchor)):
+            # -source: side 2 sorts before side 1 at equal (strip, offset)
+            entries.append((strip, offset, -source, source, i))
+    entries.sort()
+    return InterleaveLayout(
+        tuple((source, i) for *_, source, i in entries),
+        sum(strip < 0 for strip, *_ in entries),
+        sum(strip == 0 for strip, *_ in entries),
+    )
 
 
 @dataclass(frozen=True)
@@ -179,7 +170,11 @@ class WidthCertificate:
     w2: int
     bound: int
     achieved: int
-    bound_adjusted: bool = False
+
+    @property
+    def bound_adjusted(self) -> bool:
+        """Whether ``bound`` exceeds ceil(3/2 * (w1 + w2)), as for width-0 sides."""
+        return self.bound > ceil_three_halves(self.w1 + self.w2)
 
     @property
     def cover(self) -> OrderedCliqueCover:
@@ -407,7 +402,6 @@ def compose_covers(
     def tr2(cl: frozenset[int]) -> frozenset[int]:
         return frozenset(g2_map[v] for v in cl)
 
-    adjusted = False
     if not shared:
         final = tuple(list(c1.cliques) + [tr2(cl) for cl in c2.cliques])
         bound = max(w1, w2)
@@ -425,7 +419,6 @@ def compose_covers(
         bound = ceil_three_halves(w1 + w2)
         if w1 + w2 == 0:
             bound += 1
-            adjusted = True
         final = tuple(
             _place_within_bound(
                 composed,
@@ -439,17 +432,8 @@ def compose_covers(
                 ],
             )
         )
-    cover = OrderedCliqueCover(composed, final)
-    achieved = cover_width(cover)
-    return WidthCertificate(
-        graph=composed,
-        cliques=final,
-        w1=w1,
-        w2=w2,
-        bound=bound,
-        achieved=achieved,
-        bound_adjusted=adjusted,
-    )
+    achieved = cover_width(OrderedCliqueCover(composed, final))
+    return WidthCertificate(composed, final, w1, w2, bound, achieved)
 
 
 def verify_certificate(cert: WidthCertificate) -> CoverCheck:
@@ -492,7 +476,8 @@ class SpanCheck:
 
     ``max_span`` is the widest position gap between the home cliques of
     an edge's endpoints in the interleaved sequence; ``limit`` is the
-    checked guarantee.  ``vacuous`` marks the skipped w1 + w2 = 0 case.
+    checked guarantee.  ``vacuous`` marks the skipped cases: w1 + w2 = 0,
+    and an empty shared set, which has no interleave.
     """
 
     ok: bool
@@ -529,7 +514,7 @@ def edge_span_claim_check(
         raise ValueError("covers do not match their graphs")
     w1 = cover_width(c1)
     w2 = cover_width(c2)
-    if w1 + w2 == 0:
+    if w1 + w2 == 0 or not shared:
         return SpanCheck(ok=True, max_span=0, limit=0, vacuous=True)
     layout = interleaved_sequence(c1, c2, shared)
     beta1, beta2 = max(w1, 1), max(w2, 1)
@@ -568,18 +553,8 @@ def read_certificate(r: LineReader) -> WidthCertificate:
     """Certificate block: edge list, cover, then the four width lines."""
     graph = read_edge_list(r)
     cliques = tuple(frozenset(row) for row in read_cover(r))
-    w1, w2, bound, achieved = (
-        r.expect(key) for key in ("w1", "w2", "bound", "achieved")
-    )
-    return WidthCertificate(
-        graph=graph,
-        cliques=cliques,
-        w1=w1,
-        w2=w2,
-        bound=bound,
-        achieved=achieved,
-        bound_adjusted=bound > ceil_three_halves(w1 + w2),
-    )
+    widths = (r.expect(key) for key in ("w1", "w2", "bound", "achieved"))
+    return WidthCertificate(graph, cliques, *widths)
 
 
 def parse_certificate(text: str) -> WidthCertificate:

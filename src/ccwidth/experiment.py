@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .composition import compose_covers, edge_span_claim_check, verify_certificate
 from .generators import (
@@ -54,7 +54,6 @@ class ExperimentConfig:
     min_total_width: int = 1
     t_start: int = 1
     ccw_limit: int = DEFAULT_CCW_LIMIT
-    out: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -120,14 +119,10 @@ def _row(cfg: ExperimentConfig, index: int) -> list[str]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> str:
-    """Run the configured corpus and return (and optionally write) the CSV."""
+    """Run the configured corpus and return the CSV text."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for index in range(cfg.count):
         writer.writerow(_row(cfg, index))
-    text = buf.getvalue()
-    if cfg.out is not None:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

@@ -83,6 +83,10 @@ def path_sum_instance(t: int) -> CliqueSumInstance:
     return CliqueSumInstance(g1=g, c1=witness, g2=g, c2=witness, shared={t: t})
 
 
+# Redraws before ``random_clique_sum_instance`` gives up on ``min_total_width``.
+MAX_ATTEMPTS = 1000
+
+
 def _cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
     return [c for c in combinations(range(g.n), k) if is_clique(g, c)]
 
@@ -96,7 +100,6 @@ def random_clique_sum_instance(
     p_hi: float = 0.8,
     min_total_width: int = 0,
     ccw_limit: int | None = DEFAULT_CCW_LIMIT,
-    max_attempts: int = 1000,
 ) -> CliqueSumInstance:
     """Random clique-sum instance with oracle covers and a random shared clique.
 
@@ -104,13 +107,13 @@ def random_clique_sum_instance(
     picks a shared clique size in 1..shared_max (falling back to smaller
     sizes when one side has no clique that large), and identifies the
     two cliques by a random bijection.  Redraws until the total cover
-    width reaches ``min_total_width``.
+    width reaches ``min_total_width``, at most ``MAX_ATTEMPTS`` times.
     """
     if not 1 <= n_lo <= n_hi:
         raise ValueError(f"bad side size range [{n_lo}, {n_hi}]")
     if shared_max < 1:
         raise ValueError("shared clique size must be at least 1")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g1 = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
         g2 = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
         c1 = ccw_exact(g1, limit=ccw_limit).witness
@@ -129,7 +132,7 @@ def random_clique_sum_instance(
         return CliqueSumInstance(g1=g1, c1=c1, g2=g2, c2=c2, shared=shared)
     raise ValueError(
         f"could not draw an instance with total width >= {min_total_width} "
-        f"in {max_attempts} attempts"
+        f"in {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -9,7 +9,10 @@ They anchor the solvers' expected values.  ``dfs_bandwidth`` and
 bandwidth DFS and the definition-following partition-plus-quotient
 solver as witness oracles for the ordered-cover search.  Likewise
 ``scan_insertion`` keeps the position-by-position insertion scan as the
-oracle for the one-pass insertion scoring of ``compose_covers``.
+oracle for the one-pass insertion scoring of ``compose_covers``, and
+``zip_interleaved_sequence`` keeps the strip lists, enclosing-block
+search and zip-and-alternate pass as the oracle for the strip-key sort
+of ``interleaved_sequence``.
 ``iter_clique_partitions`` enumerates every clique partition in
 canonical order, for ``enumerate_ccw`` and for the tests that walk all
 covers of a graph.
@@ -19,11 +22,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from itertools import zip_longest
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from hypothesis import strategies as st
 
-from ccwidth import Graph, sequence_width
+from ccwidth import Graph, OrderedCliqueCover, cover_width, is_clique, sequence_width
+
+T = TypeVar("T")
 
 
 def brute_bandwidth(g: Graph) -> int:
@@ -247,6 +253,103 @@ def scan_insertion(
             best_final = final
     assert best_key is not None and best_final is not None
     return best_key[0], best_final
+
+
+def block_size(c: OrderedCliqueCover) -> int:
+    """Nominal block cardinality: the cover width, but at least 1."""
+    return max(cover_width(c), 1)
+
+
+def strips_around(c: OrderedCliqueCover, b: range) -> tuple[list[range], list[range]]:
+    """Clique index ranges of the strips left and right of ``b``, nearest first.
+
+    Each strip holds the block size w of cliques; the outermost strip on
+    a side holds what is left, at most w.  Together with ``b`` the
+    strips tile the cover's clique indices.
+    """
+    w = block_size(c)
+    left = [range(max(end - w, 0), end) for end in range(b.start, 0, -w)]
+    right = [range(i, min(i + w, c.size)) for i in range(b.stop, c.size, w)]
+    return left, right
+
+
+def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> range:
+    """Smallest window of cliques containing the clique ``s``, at block size.
+
+    The window covering every cover clique that meets ``s`` is expanded
+    to length max(block size, window span), growing rightward first and
+    leftward once the right boundary is hit.  The result can exceed the
+    nominal block size by one when ``s`` straddles w + 1 cliques.
+    """
+    vs = set(s)
+    if not vs:
+        raise ValueError("enclosing block requires a nonempty vertex set")
+    if not is_clique(c.graph, vs):
+        raise ValueError("vertex set does not induce a clique")
+    hit = [c.clique_index(v) for v in vs]
+    lo, hi = min(hit), max(hit)
+    length = min(max(block_size(c), hi - lo + 1), c.size)
+    start = min(lo, c.size - length)
+    return range(start, start + length)
+
+
+def _anchor_block(c: OrderedCliqueCover, vs: frozenset[int]) -> range:
+    """Block-sized window anchored on the cliques meeting ``vs``.
+
+    When the enclosing window spans w + 1 cliques, one more than a block
+    can hold, keeps its left w cliques; the last clique then sits
+    immediately outside the anchor.  Both ends of such a window meet
+    ``vs``, so either w-clique sub-window covers the same number of the
+    cliques meeting it, and the left one is the tie-break.
+    """
+    return locate_enclosing_block(c, vs)[: block_size(c)]
+
+
+def interleave(s1: Sequence[T], s2: Sequence[T]) -> list[T]:
+    """Alternate two sequences starting with the second, then append the rest.
+
+    Output is s2[0], s1[0], s2[1], s1[1], ... until one side runs out,
+    followed by the remainder of the other side.  Either side may be
+    empty, in which case the other is returned unchanged.
+    """
+    out: list[T] = []
+    for i in range(max(len(s1), len(s2))):
+        if i < len(s2):
+            out.append(s2[i])
+        if i < len(s1):
+            out.append(s1[i])
+    return out
+
+
+def zip_interleaved_sequence(
+    c1: OrderedCliqueCover,
+    c2: OrderedCliqueCover,
+    shared: dict[int, int],
+) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """(seq, block_start, block_length) of the strip interleave.
+
+    Strips are counted outward from each side's anchor block, and the
+    two strips at the same distance from their blocks are interleaved; a
+    strip without a partner on the other side passes through unchanged.
+    """
+    if not shared:
+        raise ValueError("interleaved sequence requires a nonempty shared set")
+    b1 = _anchor_block(c1, frozenset(shared.keys()))
+    b2 = _anchor_block(c2, frozenset(shared.values()))
+    left1, right1 = strips_around(c1, b1)
+    left2, right2 = strips_around(c2, b2)
+
+    def paired(a: Sequence[int], b: Sequence[int]) -> list[tuple[int, int]]:
+        return interleave([(1, i) for i in a], [(2, i) for i in b])
+
+    left = [paired(a, b) for a, b in zip_longest(left1, left2, fillvalue=())]
+    seq = [entry for segment in reversed(left) for entry in segment]
+    block_start = len(seq)
+    seq += paired(b1, b2)
+    block_length = len(seq) - block_start
+    for a, b in zip_longest(right1, right2, fillvalue=()):
+        seq += paired(a, b)
+    return tuple(seq), block_start, block_length
 
 
 def brute_clique_number(g: Graph) -> int:

@@ -1,12 +1,14 @@
 import io
 
 from ccwidth import (
+    ExperimentConfig,
     OrderedCliqueCover,
     compose_covers,
     format_certificate,
     format_cover,
     format_edge_list,
     path_graph,
+    run_experiment,
 )
 from ccwidth.cli import main
 
@@ -202,6 +204,59 @@ class TestComposeAndVerify:
         assert len(err.splitlines()) == 1
         assert not out_file.exists()
 
+    def test_compose_rejects_repeated_shared_vertex(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(format_edge_list(path_graph(3)))
+        code, out, err = run_cli(
+            [
+                "compose",
+                "--graph1", str(gfile),
+                "--graph2", str(gfile),
+                "--shared", "0=0,0=1",
+            ],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: shared map lists side-1 vertex 0 twice\n"
+
+    def test_compose_rejects_repeated_shared_vertex_in_bundle(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        code, out, _ = run_cli(["gen", "--kind", "path-sum", "--t", "2"], capsys=capsys)
+        assert code == 0
+        assert out.endswith("shared 1\n2 2\n")
+        bundle = tmp_path / "inst.txt"
+        bundle.write_text(out.replace("shared 1\n2 2\n", "shared 2\n2 2\n2 1\n"))
+        code, out, err = run_cli(["compose", "--instance", str(bundle)], capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: instance bundle line ")
+        assert "side-1 vertex 2 is already shared, got '2 1'" in err
+        assert len(err.splitlines()) == 1
+
+    def test_compose_check_claim_with_empty_shared_set(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        g = path_graph(3)
+        gfile = tmp_path / "g.txt"
+        gfile.write_text(format_edge_list(g))
+        code, out, err = run_cli(
+            [
+                "compose",
+                "--graph1", str(gfile),
+                "--graph2", str(gfile),
+                "--shared", ",",
+                "--check-claim",
+            ],
+            capsys=capsys,
+        )
+        assert code == 0
+        assert err == ""
+        assert "bound 1\nachieved 1\n" in out
+
     def test_compose_requires_inputs(self, capsys, monkeypatch):
         code, _, err = run_cli(["compose"], capsys=capsys)
         assert code == 2
@@ -216,6 +271,16 @@ class TestExperimentCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.splitlines()[0].startswith("n1,n2,")
+
+    def test_writes_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "report.csv"
+        code, stdout, _ = run_cli(
+            ["experiment", "--count", "2", "--seed", "5", "--out", str(out)],
+            capsys=capsys,
+        )
+        assert code == 0
+        assert stdout == ""
+        assert out.read_text() == run_experiment(ExperimentConfig(count=2, seed=5))
 
     def test_experiment_count_validation(self, capsys, monkeypatch):
         code, _, err = run_cli(

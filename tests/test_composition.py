@@ -16,7 +16,6 @@ from ccwidth import (
     compose_covers,
     edge_span_claim_check,
     format_certificate,
-    interleave,
     interleaved_sequence,
     parse_certificate,
     path_graph,
@@ -27,7 +26,7 @@ from ccwidth import (
     verify_certificate,
 )
 from ccwidth.composition import _best_insertion, _place_within_bound, _skeleton
-from conftest import brute_ccw, graphs, scan_insertion
+from conftest import brute_ccw, graphs, interleave, scan_insertion
 
 
 def _instances(seed_prefix, count, **kwargs):
@@ -39,6 +38,8 @@ def _instances(seed_prefix, count, **kwargs):
 
 
 class TestInterleave:
+    """The oracle's zip-and-alternate pass."""
+
     def test_alternation(self):
         assert interleave(["a", "b"], ["x", "y", "z"]) == ["x", "a", "y", "b", "z"]
 
@@ -345,6 +346,14 @@ class TestEdgeSpanClaimCheck:
         k3 = complete_graph(3)
         c = OrderedCliqueCover(k3, [{0, 1, 2}])
         check = edge_span_claim_check(k3, c, k3, c, {0: 0})
+        assert check.ok
+        assert check.vacuous
+
+    def test_vacuous_when_shared_set_empty(self):
+        # a disjoint union has no interleave to check
+        p3 = path_graph(3)
+        c = OrderedCliqueCover(p3, [{0, 1}, {2}])
+        check = edge_span_claim_check(p3, c, p3, c, {})
         assert check.ok
         assert check.vacuous
 

@@ -6,10 +6,10 @@ witnesses and the same CSV bytes.  The certificate digest was recorded
 when compose's repair ladder lost absorption (folding the shared set's
 home remnants into the new clique), which changed one of these
 certificates; it holds every later composition to the same certificate
-bytes.  The layout
-digest was recorded while strips were still built as a partition of
-each cover around its anchor block, so it holds every later interleave
-to the same sequences and span checks.  The bandwidth
+bytes.  The layout digest was recorded while strips were still built as
+a partition of each cover around its anchor block and zipped pairwise,
+so it holds the strip-key sort that replaced them to the same sequences
+and span checks.  The bandwidth
 witness digest and the reorder-fallback certificates were recorded with
 the position-by-position bandwidth DFS, before the bandwidth search and
 the compose reorder fallback moved onto the ordered-cover search; the

@@ -153,12 +153,6 @@ class TestRunExperiment:
             else:
                 assert row[7] == ""
 
-    def test_writes_file(self, tmp_path):
-        out = tmp_path / "report.csv"
-        cfg = ExperimentConfig(count=2, seed=5, out=str(out))
-        text = run_experiment(cfg)
-        assert out.read_text() == text
-
     def test_solver_limit_marks_rows_skipped(self):
         # sides of 4 vertices with the ccw solver capped below that
         cfg = ExperimentConfig(count=3, seed=1, n_lo=4, n_hi=4, ccw_limit=3)

@@ -149,6 +149,26 @@ class TestCoverGraph:
             assert ordering_width(q, LinearOrdering.identity(q.n)) == cover_width(c)
 
 
+class TestBlockSeparation:
+    """Removing w consecutive cliques separates the left and right remainders."""
+
+    def test_exhaustive_on_random_covers(self):
+        for g in random_graph_corpus("separation", 40, 1, 6):
+            for parts in iter_clique_partitions(g):
+                c = OrderedCliqueCover(g, parts)
+                w = cover_width(c)
+                for start in range(c.size - w + 1):
+                    left = {
+                        v for cl in c.cliques[:start] for v in cl
+                    }
+                    right = {
+                        v for cl in c.cliques[start + w :] for v in cl
+                    }
+                    assert not any(
+                        g.has_edge(u, v) for u in left for v in right
+                    )
+
+
 class TestCoverFormat:
     def test_round_trip(self):
         g = path_graph(5)

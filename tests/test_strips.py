@@ -1,18 +1,39 @@
+"""Strip keys, and the strip lists they replaced, kept as an oracle.
+
+``_strip_keys`` gives each clique of a cover its (strip, offset) around
+an anchor block, and ``interleaved_sequence`` sorts the cliques of both
+covers by those keys.  The strip lists, the enclosing-block search and
+the zip-and-alternate pass that built the same sequence before live on
+in ``conftest`` as the oracle of the differential test here, and keep
+their own unit tests.
+"""
+
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccwidth import (
     Graph,
     OrderedCliqueCover,
-    block_size,
     complete_graph,
     cover_width,
-    locate_enclosing_block,
+    interleaved_sequence,
+    is_clique,
     path_graph,
 )
-from ccwidth.strips import strips_around
-from conftest import iter_clique_partitions, random_graph_corpus
+from ccwidth.composition import _strip_keys
+from conftest import (
+    block_size,
+    graphs,
+    iter_clique_partitions,
+    locate_enclosing_block,
+    random_graph_corpus,
+    strips_around,
+    zip_interleaved_sequence,
+)
 
 
 def _chain_cover(num_cliques: int, width: int):
@@ -31,50 +52,58 @@ def _chain_cover(num_cliques: int, width: int):
 
 
 class TestPartitionAroundBlock:
-    """The strips around a block, listed outward from it on each side."""
+    """The strip keys around a block: strip 0 is the block, then outward."""
 
     def test_seven_cliques_block_at_two(self):
-        c = _chain_cover(7, 2)
-        left, right = strips_around(c, range(2, 4))
-        assert left == [range(0, 2)]
-        assert right == [range(4, 6), range(6, 7)]
+        assert _strip_keys(7, 2, 2) == [
+            (-1, 0), (-1, 1), (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)
+        ]
 
     def test_five_cliques_block_at_one(self):
-        c = _chain_cover(5, 2)
-        left, right = strips_around(c, range(1, 3))
-        assert left == [range(0, 1)]
-        assert right == [range(3, 5)]
+        assert _strip_keys(5, 2, 1) == [(-1, 0), (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_short_outer_left_strip_counts_from_zero(self):
+        assert _strip_keys(5, 2, 3) == [(-2, 0), (-1, 0), (-1, 1), (0, 0), (0, 1)]
 
     def test_block_is_entire_cover(self):
-        c = _chain_cover(3, 2)
-        assert strips_around(c, range(0, 3)) == ([], [])
+        assert _strip_keys(3, 3, 0) == [(0, 0), (0, 1), (0, 2)]
 
     def test_width_zero_cover_uses_block_size_one(self):
         c = OrderedCliqueCover(complete_graph(4), [{0, 1, 2, 3}])
-        assert block_size(c) == 1
-        assert strips_around(c, range(0, 1)) == ([], [])
+        layout = interleaved_sequence(c, c, {0: 0})
+        assert (layout.seq, layout.block_start, layout.block_length) == (
+            ((2, 0), (1, 0)), 0, 2
+        )
+        c = OrderedCliqueCover(Graph(3), [{0}, {1}, {2}])
+        layout = interleaved_sequence(c, c, {1: 1})
+        assert layout.seq == ((2, 0), (1, 0), (2, 1), (1, 1), (2, 2), (1, 2))
+        assert (layout.block_start, layout.block_length) == (2, 2)
 
-    def _assert_tiling(self, c, b, left, right):
-        w = block_size(c)
-        # contiguous going outward from the block on both sides
-        edge = b.start
-        for strip in left:
-            assert strip.stop == edge
-            edge = strip.start
-        edge = b.stop
-        for strip in right:
-            assert strip.start == edge
-            edge = strip.stop
-        # inner strips hold exactly w cliques, the outermost at most w
-        for side in (left, right):
-            for i, strip in enumerate(side):
-                if i == len(side) - 1:
-                    assert 1 <= len(strip) <= w
-                else:
-                    assert len(strip) == w
-        # together with the block they cover 0..size-1 exactly
-        indices = [i for strip in left + [b] + right for i in strip]
-        assert sorted(indices) == list(range(c.size))
+    def _assert_tiling(self, c, w, start, keys):
+        strips = [s for s, _ in keys]
+        # strip 0 is the block: the w cliques from the anchor
+        assert [i for i, s in enumerate(strips) if s == 0] == list(
+            range(start, start + w)
+        )
+        # keys increase with the clique index, so every strip is a run of
+        # consecutive cliques and the strips come in order, none skipped
+        assert keys == sorted(set(keys))
+        assert sorted(set(strips)) == list(range(strips[0], strips[-1] + 1))
+        for s in set(strips):
+            offsets = [o for t, o in keys if t == s]
+            assert offsets == list(range(len(offsets)))
+            # inner strips hold exactly w cliques, the outermost at most w
+            if s in (strips[0], strips[-1]):
+                assert len(offsets) <= w
+            else:
+                assert len(offsets) == w
+        # the same tiling as the strip lists, nearest first on each side
+        left, right = strips_around(c, range(start, start + w))
+        for k, strip in enumerate(left, 1):
+            assert [i for i, s in enumerate(strips) if s == -k] == list(strip)
+        for k, strip in enumerate(right, 1):
+            assert [i for i, s in enumerate(strips) if s == k] == list(strip)
+        assert len(left) == -strips[0] and len(right) == strips[-1]
 
     def test_invariants_on_random_covers(self):
         rng = random.Random("strips")
@@ -84,12 +113,55 @@ class TestPartitionAroundBlock:
             c = OrderedCliqueCover(g, parts)
             w = block_size(c)
             for start in range(c.size - w + 1):
-                b = range(start, start + w)
-                left, right = strips_around(c, b)
-                self._assert_tiling(c, b, left, right)
+                self._assert_tiling(c, w, start, _strip_keys(c.size, w, start))
+
+
+@st.composite
+def interleave_cases(draw):
+    """Two covers drawn from all clique partitions, and a shared clique map."""
+
+    def cover():
+        g = draw(graphs(max_n=7))
+        parts = draw(st.sampled_from(list(iter_clique_partitions(g))))
+        return OrderedCliqueCover(g, draw(st.permutations(parts)))
+
+    def cliques(g, k):
+        return [q for q in combinations(range(g.n), k) if is_clique(g, q)]
+
+    c1, c2 = cover(), cover()
+    sizes = [
+        k
+        for k in range(1, min(c1.graph.n, c2.graph.n) + 1)
+        if cliques(c1.graph, k) and cliques(c2.graph, k)
+    ]
+    k = draw(st.sampled_from(sizes))
+    side1 = draw(st.sampled_from(cliques(c1.graph, k)))
+    side2 = draw(st.permutations(draw(st.sampled_from(cliques(c2.graph, k)))))
+    return c1, c2, dict(zip(side1, side2))
+
+
+_K3 = OrderedCliqueCover(complete_graph(3), [{0, 1, 2}])
+_P3 = OrderedCliqueCover(path_graph(3), [{0, 1}, {2}])
+
+
+class TestStripKeyInterleave:
+    @settings(max_examples=300, deadline=None)
+    @given(case=interleave_cases())
+    @example(case=(_K3, _P3, {0: 1}))  # a width-0 cover
+    @example(case=(_P3, _P3, {1: 1, 2: 2}))  # S straddles w + 1 cliques
+    def test_matches_zip_oracle(self, case):
+        """The strip-key sort builds the zip-and-alternate layout, both ways round."""
+        c1, c2, shared = case
+        for a, b, s in ((c1, c2, shared), (c2, c1, {v: u for u, v in shared.items()})):
+            layout = interleaved_sequence(a, b, s)
+            assert (
+                layout.seq, layout.block_start, layout.block_length
+            ) == zip_interleaved_sequence(a, b, s)
 
 
 class TestLocateEnclosingBlock:
+    """The oracle's enclosing-block search."""
+
     def test_single_clique_window(self):
         c = OrderedCliqueCover(path_graph(5), [{0, 1}, {2, 3}, {4}])
         assert locate_enclosing_block(c, {2}) == range(1, 2)
@@ -147,23 +219,3 @@ class TestLocateEnclosingBlock:
             length = min(max(block_size(c), hi - lo + 1), c.size)
             start = lo if lo + length <= c.size else c.size - length
             assert block == range(start, start + length)
-
-
-class TestBlockSeparation:
-    """Removing a block's cliques separates the left and right remainders."""
-
-    def test_exhaustive_on_random_covers(self):
-        for g in random_graph_corpus("separation", 40, 1, 6):
-            for parts in iter_clique_partitions(g):
-                c = OrderedCliqueCover(g, parts)
-                w = cover_width(c)
-                for start in range(c.size - w + 1):
-                    left = {
-                        v for cl in c.cliques[:start] for v in cl
-                    }
-                    right = {
-                        v for cl in c.cliques[start + w :] for v in cl
-                    }
-                    assert not any(
-                        g.has_edge(u, v) for u in left for v in right
-                    )
