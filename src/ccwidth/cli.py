@@ -20,7 +20,7 @@ from .composition import (
     parse_certificate,
     verify_certificate,
 )
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 from .generators import CliqueSumInstance, generate
 from .graph import (
     Graph,
@@ -307,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_chain)
 
     p = sub.add_parser("experiment", help="run a seeded corpus, emit CSV")
-    p.add_argument("--kind", default="random-clique-sum", choices=list(
-        ("random-clique-sum", "path-sum")
-    ))
+    p.add_argument("--kind", default="random-clique-sum", choices=EXPERIMENT_KINDS)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-min", type=int, default=3)

@@ -1,17 +1,18 @@
 """Width-certified clique covers for the clique sum of two graphs.
 
-Given covers C1 of G1 and C2 of G2 glued along a shared clique S, the
-construction anchors a block of w = max(width, 1) cliques on each
-side's S-window and gives every clique a key (strip, offset): strip 0
-is the block, strips 1, 2, ... of w cliques follow it and -1, -2, ...
-precede it, and the offset is the clique's position in its strip.
-Sorting the cliques of both covers by that key, side 2 first on ties,
-interleaves the strips at equal distances from the blocks (unmatched
-outer strips pass through) into one ordered sequence.  A new clique
-holding exactly S is then inserted, S's vertices are deleted everywhere
-else, emptied cliques are dropped, and everything is renumbered into
-the composed graph.  The result is an ordered clique cover of G1 (+) G2
-whose width stays within ceil(3/2 * (w(C1) + w(C2))).
+Given covers C1 of G1 and C2 of G2 glued along a shared clique S, with
+C2 renumbered into the composed graph first so that every piece below
+is in composed numbering, the construction anchors a block of
+w = max(width, 1) cliques on each side's S-window and gives every
+clique a key (strip, offset): strip 0 is the block, strips 1, 2, ... of
+w cliques follow it and -1, -2, ... precede it, and the offset is the
+clique's position in its strip.  Sorting the cliques of both covers by
+that key, side 2 first on ties, interleaves the strips at equal
+distances from the blocks (unmatched outer strips pass through) into
+one ordered sequence.  A new clique holding exactly S is then inserted,
+S's vertices are deleted everywhere else, and emptied cliques are
+dropped.  The result is an ordered clique cover of G1 (+) G2 whose
+width stays within ceil(3/2 * (w(C1) + w(C2))).
 
 Two details matter for that bound to survive all geometries.  First,
 anchor blocks are never allowed to exceed the nominal block size: the
@@ -60,6 +61,7 @@ from typing import Callable, Sequence
 from .graph import (
     Graph,
     LineReader,
+    check_shared_clique,
     clique_sum,
     clique_sum_map,
     format_edge_list,
@@ -176,10 +178,6 @@ class WidthCertificate:
         """Whether ``bound`` exceeds ceil(3/2 * (w1 + w2)), as for width-0 sides."""
         return self.bound > ceil_three_halves(self.w1 + self.w2)
 
-    @property
-    def cover(self) -> OrderedCliqueCover:
-        return OrderedCliqueCover(self.graph, self.cliques)
-
 
 def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
     """Width of a clique sequence by position, tolerating empty entries.
@@ -193,31 +191,25 @@ def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
 
 def _skeleton(
     layout: InterleaveLayout,
-    c1: OrderedCliqueCover,
-    c2: OrderedCliqueCover,
-    shared: dict[int, int],
-    g2_map: dict[int, int],
+    sides: tuple[Sequence[frozenset[int]], Sequence[frozenset[int]]],
+    shared: frozenset[int],
     keep_side: int = 0,
 ) -> list[frozenset[int]]:
-    """Skeleton cliques of ``layout`` in composed numbering, S deleted.
+    """Skeleton cliques of ``layout`` with the shared set deleted.
 
-    One entry per skeleton clique, possibly empty after the deletion.
-    With ``keep_side`` 1 or 2, shared vertices stay in that side's
-    original cliques and are deleted from the other side only.  That
-    still yields a partition (every shared vertex appears exactly once,
-    in a clique it already belonged to), which is a legal alternative to
-    extracting S when the new clique cannot satisfy all its neighbors
-    at once.
+    ``sides`` holds both covers' cliques and ``shared`` the shared set,
+    all in composed numbering.  One entry per skeleton clique, possibly
+    empty after the deletion.  With ``keep_side`` 1 or 2, shared
+    vertices stay in that side's original cliques and are deleted from
+    the other side only.  That still yields a partition (every shared
+    vertex appears exactly once, in a clique it already belonged to),
+    which is a legal alternative to extracting S when the new clique
+    cannot satisfy all its neighbors at once.
     """
-    s1 = frozenset() if keep_side == 1 else frozenset(shared.keys())
-    s2 = frozenset() if keep_side == 2 else frozenset(shared.values())
-    out: list[frozenset[int]] = []
-    for src, idx in layout.seq:
-        if src == 1:
-            out.append(c1.cliques[idx] - s1)
-        else:
-            out.append(frozenset(g2_map[v] for v in c2.cliques[idx] - s2))
-    return out
+    return [
+        sides[src - 1][idx] - (frozenset() if src == keep_side else shared)
+        for src, idx in layout.seq
+    ]
 
 
 def _best_insertion(
@@ -340,15 +332,13 @@ def _reorder_within_bound(
 
 
 def _one_sided_zero_parts(
-    c_zero: OrderedCliqueCover,
-    c_wide: OrderedCliqueCover,
-    shared_zero: frozenset[int],
-    shared_wide: frozenset[int],
-    translate_zero,
-    translate_wide,
+    zero: Sequence[frozenset[int]],
+    wide: Sequence[frozenset[int]],
+    shared: frozenset[int],
 ) -> tuple[list[frozenset[int]], frozenset[int], int]:
-    """Composition pieces when exactly the ``c_zero`` side has width 0.
+    """Composition pieces when exactly the ``zero`` side has width 0.
 
+    Both sides' cliques and the shared set are in composed numbering.
     The shared set sits inside a single clique B of the width-0 side
     (any straddle would be a cross edge there).  B is kept whole, to be
     inserted near the middle of the other side's S-window; shared
@@ -357,19 +347,13 @@ def _one_sided_zero_parts(
     around the insertion.  Returns (sequence without B, B itself, the
     natural insertion index for B).
     """
-    hit_zero = {c_zero.clique_index(v) for v in shared_zero}
+    hit_zero = [i for i, cl in enumerate(zero) if cl & shared]
     assert len(hit_zero) == 1, "width-0 cover cannot split a clique"
-    bz = next(iter(hit_zero))
-    hits = sorted({c_wide.clique_index(v) for v in shared_wide})
+    bz = hit_zero[0]
+    hits = [i for i, cl in enumerate(wide) if cl & shared]
     mid = (hits[0] + hits[-1]) // 2
-    before = [translate_zero(c_zero.cliques[i]) for i in range(bz)]
-    wide = [translate_wide(cl - shared_wide) for cl in c_wide.cliques]
-    after = [
-        translate_zero(c_zero.cliques[i]) for i in range(bz + 1, c_zero.size)
-    ]
-    raw = before + wide + after
-    anchor = len(before) + mid + 1
-    return raw, translate_zero(c_zero.cliques[bz]), anchor
+    raw = [*zero[:bz], *(cl - shared for cl in wide), *zero[bz + 1 :]]
+    return raw, zero[bz], bz + mid + 1
 
 
 def compose_covers(
@@ -394,27 +378,24 @@ def compose_covers(
         raise ValueError("c2 does not cover g2")
     composed = clique_sum(g1, g2, shared)  # validates the shared clique
     g2_map = clique_sum_map(g1, g2, shared)
+    sides = (
+        c1.cliques,
+        tuple(frozenset(g2_map[v] for v in cl) for cl in c2.cliques),
+    )
+    S = frozenset(shared)
     w1 = cover_width(c1)
     w2 = cover_width(c2)
-    s1 = frozenset(shared.keys())
-    s2 = frozenset(shared.values())
-
-    def tr2(cl: frozenset[int]) -> frozenset[int]:
-        return frozenset(g2_map[v] for v in cl)
-
     if not shared:
-        final = tuple(list(c1.cliques) + [tr2(cl) for cl in c2.cliques])
+        final = sides[0] + sides[1]
         bound = max(w1, w2)
     elif (w1 == 0) != (w2 == 0):
-        if w1 == 0:
-            raw, block, anchor = _one_sided_zero_parts(c1, c2, s1, s2, frozenset, tr2)
-        else:
-            raw, block, anchor = _one_sided_zero_parts(c2, c1, s2, s1, tr2, frozenset)
+        zero, wide = sides if w1 == 0 else sides[::-1]
+        raw, block, anchor = _one_sided_zero_parts(zero, wide, S)
         bound = ceil_three_halves(w1 + w2)
         final = tuple(_place_within_bound(composed, raw, block, anchor, bound))
     else:
         layout = interleaved_sequence(c1, c2, shared)
-        raw = _skeleton(layout, c1, c2, shared, g2_map)
+        raw = _skeleton(layout, sides, S)
         anchor = layout.block_start + layout.block_length // 2
         bound = ceil_three_halves(w1 + w2)
         if w1 + w2 == 0:
@@ -423,13 +404,10 @@ def compose_covers(
             _place_within_bound(
                 composed,
                 raw,
-                s1,
+                S,
                 anchor,
                 bound,
-                lambda: [
-                    _skeleton(layout, c1, c2, shared, g2_map, keep_side=side)
-                    for side in (1, 2)
-                ],
+                lambda: [_skeleton(layout, sides, S, side) for side in (1, 2)],
             )
         )
     achieved = cover_width(OrderedCliqueCover(composed, final))
@@ -512,6 +490,7 @@ def edge_span_claim_check(
     """
     if c1.graph != g1 or c2.graph != g2:
         raise ValueError("covers do not match their graphs")
+    check_shared_clique(g1, g2, shared)
     w1 = cover_width(c1)
     w2 = cover_width(c2)
     if w1 + w2 == 0 or not shared:

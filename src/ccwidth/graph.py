@@ -6,15 +6,16 @@ Graphs never change after construction, so they are safe to share between
 threads and to use as dict keys.
 
 Also provides the two NP-hard scalar parameters needed by the width
-inequalities (clique number and induced star number, both computed
-exactly), the clique sum of two graphs glued along a shared clique, the
-plain-text edge-list format, and the line cursor that reads every text
-format of the package.
+inequalities, clique number and induced star number, both computed
+exactly by one clique search (the star number as the largest clique of
+the complement inside a neighborhood); the clique sum of two graphs
+glued along a shared clique; the plain-text edge-list format; and the
+line cursor that reads every text format of the package.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class Graph:
@@ -68,9 +69,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -121,14 +119,11 @@ def clique_sum_map(g1: Graph, g2: Graph, shared: dict[int, int]) -> dict[int, in
     return mapping
 
 
-def clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
-    """Glue g1 and g2 along a shared clique and return the union graph.
+def check_shared_clique(g1: Graph, g2: Graph, shared: dict[int, int]) -> None:
+    """Raise ``ValueError`` unless ``shared`` can glue g1 to g2.
 
-    ``shared`` maps g1 vertices onto the g2 vertices they are identified
-    with; it must be injective and its domain/image must induce cliques
-    in g1/g2 respectively.  An empty map degenerates to disjoint union.
-    The result keeps g1's vertex numbering and appends unshared g2
-    vertices in g2-index order.
+    The map must be injective, name vertices of both graphs, and its
+    domain and image must induce cliques in g1 and g2 respectively.
     """
     if len(set(shared.values())) != len(shared):
         raise ValueError("shared vertex map must be injective")
@@ -139,6 +134,17 @@ def clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
         raise ValueError("shared set does not induce a clique in the first graph")
     if not is_clique(g2, shared.values()):
         raise ValueError("shared set does not induce a clique in the second graph")
+
+
+def clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
+    """Glue g1 and g2 along a shared clique and return the union graph.
+
+    ``shared`` maps g1 vertices onto the g2 vertices they are identified
+    with, as ``check_shared_clique`` requires; an empty map degenerates
+    to disjoint union.  The result keeps g1's vertex numbering and
+    appends unshared g2 vertices in g2-index order.
+    """
+    check_shared_clique(g1, g2, shared)
     mapping = clique_sum_map(g1, g2, shared)
     n = g1.n + g2.n - len(shared)
     edges = list(g1.edges())
@@ -146,11 +152,10 @@ def clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
     return Graph(n, edges)
 
 
-def clique_number(g: Graph) -> int:
-    """Size of a maximum clique, 0 for the empty graph.
+def _max_clique(nbrs: Sequence[int], cand: int) -> int:
+    """Size of a largest clique inside the vertex bitmask ``cand``.
 
-    Branch-and-bound over candidate bitmasks; exact, intended for the
-    small graphs this toolkit targets.
+    ``nbrs[v]`` is v's neighborhood bitmask; exact branch-and-bound.
     """
     best = 0
 
@@ -163,54 +168,32 @@ def clique_number(g: Graph) -> int:
                 return
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            extend(cand & g.neighbor_bits(v), size + 1)
+            extend(cand & nbrs[v], size + 1)
 
-    extend((1 << g.n) - 1, 0)
+    extend(cand, 0)
     return best
 
 
-def _mis_size(bits: int, g: Graph, memo: dict[int, int]) -> int:
-    """Maximum independent set size within the vertex bitmask ``bits``."""
-    if bits == 0:
-        return 0
-    cached = memo.get(bits)
-    if cached is not None:
-        return cached
-    # Branch on a vertex of maximum degree inside the candidate set.
-    rest = bits
-    pick, pick_deg = -1, -1
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        d = bin(g.neighbor_bits(v) & bits).count("1")
-        if d > pick_deg:
-            pick, pick_deg = v, d
-    if pick_deg == 0:
-        result = bin(bits).count("1")
-    else:
-        without = _mis_size(bits & ~(1 << pick), g, memo)
-        with_pick = 1 + _mis_size(bits & ~(1 << pick) & ~g.neighbor_bits(pick), g, memo)
-        result = max(without, with_pick)
-    memo[bits] = result
-    return result
+def clique_number(g: Graph) -> int:
+    """Size of a maximum clique, 0 for the empty graph.
+
+    Exact, intended for the small graphs this toolkit targets.
+    """
+    return _max_clique(g._bits, (1 << g.n) - 1)
 
 
 def star_number(g: Graph) -> int:
     """Largest number of leaves of an induced star subgraph.
 
     Equals the maximum over vertices v of the maximum independent set
-    size inside N(v); 0 when the graph has no edges.  Exact search over
-    neighborhoods; practical up to neighborhood size ~25.
+    size inside N(v), which is the largest clique of the complement
+    graph inside N(v); 0 when the graph has no edges.
     """
     if g.n == 0:
         raise ValueError("star number is undefined for the empty graph")
-    best = 0
-    memo: dict[int, int] = {}
-    for v in range(g.n):
-        nb = g.neighbor_bits(v)
-        if nb:
-            best = max(best, _mis_size(nb, g, memo))
-    return best
+    full = (1 << g.n) - 1
+    non_nbrs = [full & ~(bits | 1 << v) for v, bits in enumerate(g._bits)]
+    return max(_max_clique(non_nbrs, bits) for bits in g._bits)
 
 
 class LineReader:

@@ -214,11 +214,13 @@ class TestComposeCoversCorpus:
             # Nominal fix-up before compaction: the shared-set clique at
             # the middle of the block segment, emptied cliques kept.
             layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
-            with_empties = _skeleton(layout, inst.c1, inst.c2, inst.shared, g2_map)
-            with_empties.insert(
-                layout.block_start + layout.block_length // 2,
-                frozenset(inst.shared.keys()),
+            sides = (
+                inst.c1.cliques,
+                [frozenset(g2_map[v] for v in cl) for cl in inst.c2.cliques],
             )
+            shared = frozenset(inst.shared)
+            with_empties = _skeleton(layout, sides, shared)
+            with_empties.insert(layout.block_start + layout.block_length // 2, shared)
             compacted = [cl for cl in with_empties if cl]
             assert sequence_width(composed, compacted) <= sequence_width(
                 composed, with_empties
@@ -356,6 +358,22 @@ class TestEdgeSpanClaimCheck:
         check = edge_span_claim_check(p3, c, p3, c, {})
         assert check.ok
         assert check.vacuous
+
+    @pytest.mark.parametrize(
+        "g, cover, shared, message",
+        [
+            # two isolated vertices have width 0, where the check is vacuous
+            (Graph(2), [{0}, {1}], {0: 0, 1: 1}, "not induce a clique in the first"),
+            (Graph(2), [{0}, {1}], {0: 5}, "vertex 5 out of range for n=2"),
+            (path_graph(3), [{0, 1}, {2}], {0: 1, 1: 1}, "map must be injective"),
+        ],
+        ids=["not-a-clique", "out-of-range", "not-injective"],
+    )
+    def test_rejects_what_compose_rejects(self, g, cover, shared, message):
+        c = OrderedCliqueCover(g, cover)
+        for check in (compose_covers, edge_span_claim_check):
+            with pytest.raises(ValueError, match=message):
+                check(g, c, g, c, shared)
 
     def test_one_sided_zero_runs(self):
         k3 = complete_graph(3)

@@ -234,6 +234,12 @@ class TestStarNumber:
         for g in random_graph_corpus("star", 60, 5, 6):
             assert star_number(g) == brute_star_number(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=9))
+    def test_both_parameters_match_brute_force(self, g):
+        assert clique_number(g) == brute_clique_number(g)
+        assert star_number(g) == brute_star_number(g)
+
     def test_at_most_max_degree_with_triangle_free_equality(self):
         for g in random_graph_corpus("star-deg", 80, 2, 7):
             max_deg = max(g.degree(v) for v in range(g.n))
