@@ -13,7 +13,11 @@ and span checks.  The bandwidth
 witness digest and the reorder-fallback certificates were recorded with
 the position-by-position bandwidth DFS, before the bandwidth search and
 the compose reorder fallback moved onto the ordered-cover search; the
-(0, 777) one was recorded with the ladder that has no absorption.
+(0, 777) one was recorded with the ladder that has no absorption.  The
+``gen`` output digest was recorded while ``ccwidth gen`` still went
+through a ``generate(kind, **params)`` dispatcher, so it holds the
+direct generator calls that replaced it to the same bytes, exit codes
+and error lines.
 """
 
 import hashlib
@@ -35,6 +39,7 @@ from ccwidth import (
     random_graph,
     run_experiment,
 )
+from ccwidth.cli import main
 
 EXPERIMENT_SHA256 = {
     0: "f17237a8f31169307c86110f390c6c201f9268a140e4ed49236a24f534c4bcd0",
@@ -46,6 +51,8 @@ EXPERIMENT_SHA256 = {
 LAYOUT_SHA256 = "d3fd083939da7225ce081dfd01d0459a009a921faa2e405c72f266c1b7cae8ae"
 
 CERTIFICATE_SHA256 = "744cc674f3d9ca770c1d4e03a244d1d8a6d233ba21eea736ef92089aea30ab86"
+
+GEN_OUTPUT_SHA256 = "d9b86a763d351a793b7f5e8e61cd8f517b99878723ea62a0cbbe8e23e9b4caf5"
 
 BANDWIDTH_WITNESS_SHA256 = (
     "ceb7b9b8451fa23a39f38bbd63a11ee7fd852f456af97415c2a7f382aaadd2d3"
@@ -169,3 +176,46 @@ def test_reorder_fallback_certificates(key, monkeypatch):
     assert tries == expected_tries
     assert cert.achieved <= cert.bound
     assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == expected_sha
+
+
+def _gen_cases():
+    """Every ``gen`` kind with ordinary arguments and with each rejected one."""
+    cases = [["--kind", "path", "--t", t] for t in ("1", "2", "5", "0", "-3")]
+    cases += [["--kind", "path-sum", "--t", t] for t in ("1", "3", "0")]
+    cases += [["--kind", "complete", "--n", n] for n in ("0", "1", "4", "-1")]
+    cases += [["--kind", "star", "--leaves", k] for k in ("0", "3", "-2")]
+    cases += [
+        ["--kind", "random", "--n", n, "--p", p, "--seed", s]
+        for n, p, s in [
+            ("0", "0.5", "0"),
+            ("6", "0.3", "0"),
+            ("6", "0.3", "1"),
+            ("7", "1.0", "2"),
+            ("5", "1.5", "0"),
+            ("-1", "0.5", "0"),
+        ]
+    ]
+    cases += [["--kind", "random-clique-sum", "--seed", s] for s in ("0", "1", "2")]
+    cases += [
+        ["--kind", "random-clique-sum", *extra]
+        for extra in [
+            ["--seed", "4", "--n-min", "2", "--n-max", "5", "--shared-max", "1"],
+            ["--seed", "5", "--min-total-width", "0", "--limit-ccw", "12"],
+            ["--n-min", "5", "--n-max", "3"],
+            ["--n-min", "0"],
+            ["--shared-max", "0"],
+            ["--n-max", "3", "--min-total-width", "10"],
+            ["--n-min", "9", "--n-max", "9", "--limit-ccw", "4"],
+        ]
+    ]
+    return [["gen", *case] for case in cases]
+
+
+def test_gen_output_digest(capsys):
+    """Output, exit code and stderr of ``gen`` over every kind and its errors."""
+    digest = hashlib.sha256()
+    for argv in _gen_cases():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == GEN_OUTPUT_SHA256
