@@ -24,7 +24,6 @@ from .experiment import CSV_HEADER, ExperimentConfig, run_experiment
 from .generators import (
     CliqueSumInstance,
     complete_graph,
-    generate,
     path_graph,
     path_sum_instance,
     random_clique_sum_instance,
@@ -103,7 +102,6 @@ __all__ = [
     "format_cover",
     "format_edge_list",
     "format_ordering",
-    "generate",
     "interleaved_sequence",
     "is_clique",
     "ordering_width",

@@ -11,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 from .composition import (
@@ -21,7 +22,15 @@ from .composition import (
     verify_certificate,
 )
 from .experiment import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
-from .generators import CliqueSumInstance, generate
+from .generators import (
+    CliqueSumInstance,
+    complete_graph,
+    path_graph,
+    path_sum_instance,
+    random_clique_sum_instance,
+    random_graph,
+    star_graph,
+)
 from .graph import (
     Graph,
     LineReader,
@@ -109,25 +118,29 @@ def _parse_instance(text: str) -> CliqueSumInstance:
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {}
-    if args.kind in ("path", "path-sum"):
-        params["t"] = args.t
+    if args.kind == "path":
+        if args.t < 1:
+            raise ValueError("path half-length t must be >= 1")
+        result = path_graph(2 * args.t + 1)
     elif args.kind == "complete":
-        params["n"] = args.n
+        result = complete_graph(args.n)
     elif args.kind == "star":
-        params["leaves"] = args.leaves
+        result = star_graph(args.leaves)
     elif args.kind == "random":
-        params.update(n=args.n, p=args.p, seed=args.seed)
-    elif args.kind == "random-clique-sum":
-        params.update(
-            seed=args.seed,
+        rng = random.Random(f"ccwidth-random-{args.seed}")
+        result = random_graph(args.n, args.p, rng)
+    elif args.kind == "path-sum":
+        result = path_sum_instance(args.t)
+    else:
+        rng = random.Random(f"ccwidth-instance-{args.seed}")
+        result = random_clique_sum_instance(
+            rng,
             n_lo=args.n_min,
             n_hi=args.n_max,
             shared_max=args.shared_max,
             min_total_width=args.min_total_width,
             ccw_limit=args.limit_ccw,
         )
-    result = generate(args.kind, **params)
     if isinstance(result, Graph):
         _write_text(args.out, format_edge_list(result))
     else:

@@ -98,10 +98,6 @@ class InterleaveLayout:
     block_start: int
     block_length: int
 
-    def positions(self, source: int) -> dict[int, int]:
-        """Map each source clique index to its position in the sequence."""
-        return {idx: pos for pos, (src, idx) in enumerate(self.seq) if src == source}
-
 
 def _strip_keys(size: int, w: int, anchor: int) -> list[tuple[int, int]]:
     """(strip, offset) of each of ``size`` cliques, by clique index.
@@ -495,15 +491,15 @@ def edge_span_claim_check(
     w2 = cover_width(c2)
     if w1 + w2 == 0 or not shared:
         return SpanCheck(ok=True, max_span=0, limit=0, vacuous=True)
-    layout = interleaved_sequence(c1, c2, shared)
+    seq = interleaved_sequence(c1, c2, shared).seq
+    pos = {entry: p for p, entry in enumerate(seq)}
     beta1, beta2 = max(w1, 1), max(w2, 1)
     limit = beta1 + beta2 + min(beta1, beta2)
     max_span = 0
     worst: tuple[int, int, int, int] | None = None
     for source, g, c in ((1, g1, c1), (2, g2, c2)):
-        pos = layout.positions(source)
         for u, v in g.edges():
-            span = abs(pos[c._index_of[u]] - pos[c._index_of[v]])
+            span = abs(pos[source, c._index_of[u]] - pos[source, c._index_of[v]])
             if span > max_span:
                 max_span = span
                 worst = (source, u, v, span)

@@ -59,14 +59,6 @@ class CliqueSumInstance:
     c2: OrderedCliqueCover
     shared: dict[int, int]
 
-    @property
-    def w1(self) -> int:
-        return cover_width(self.c1)
-
-    @property
-    def w2(self) -> int:
-        return cover_width(self.c2)
-
 
 def path_sum_instance(t: int) -> CliqueSumInstance:
     """Two paths on 2t+1 vertices glued at their middle vertices.
@@ -135,29 +127,3 @@ def random_clique_sum_instance(
         f"in {MAX_ATTEMPTS} attempts"
     )
 
-
-def generate(kind: str, **params):
-    """Dispatch generator: returns a Graph or a CliqueSumInstance.
-
-    Kinds: path (t), complete (n), star (leaves), random (n, p, seed),
-    random-clique-sum (seed plus the keyword options of
-    :func:`random_clique_sum_instance`), path-sum (t).
-    """
-    if kind == "path":
-        t = int(params["t"])
-        if t < 1:
-            raise ValueError("path half-length t must be >= 1")
-        return path_graph(2 * t + 1)
-    if kind == "complete":
-        return complete_graph(int(params["n"]))
-    if kind == "star":
-        return star_graph(int(params["leaves"]))
-    if kind == "random":
-        rng = random.Random(f"ccwidth-random-{params['seed']}")
-        return random_graph(int(params["n"]), float(params["p"]), rng)
-    if kind == "path-sum":
-        return path_sum_instance(int(params["t"]))
-    if kind == "random-clique-sum":
-        rng = random.Random(f"ccwidth-instance-{params.pop('seed')}")
-        return random_clique_sum_instance(rng, **params)
-    raise ValueError(f"unknown generator kind: {kind!r}")

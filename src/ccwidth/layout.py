@@ -39,13 +39,6 @@ class LinearOrdering:
         self.order: tuple[int, ...] = order
         self.position: tuple[int, ...] = tuple(position)
 
-    @classmethod
-    def identity(cls, n: int) -> "LinearOrdering":
-        return cls(range(n))
-
-    def reversed(self) -> "LinearOrdering":
-        return LinearOrdering(tuple(reversed(self.order)))
-
     def __len__(self) -> int:
         return len(self.order)
 
@@ -142,9 +135,6 @@ class OrderedCliqueCover:
         """Index of the clique containing vertex v."""
         self.graph._check_vertex(v)
         return self._index_of[v]
-
-    def reversed(self) -> "OrderedCliqueCover":
-        return OrderedCliqueCover(self.graph, tuple(reversed(self.cliques)))
 
     def as_sorted_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Canonical form: each clique as a sorted tuple, in cover order."""

@@ -175,8 +175,13 @@ def _least_width_cover(g: Graph, start: int, cap: int) -> tuple[int, list[int]]:
     """Least k >= start with an ordered cover of width <= k, and that cover."""
     nbrs = [g.neighbor_bits(v) for v in range(g.n)]
     k = start
-    while (cover := _ordered_cover_within(nbrs, k, cap)) is None:
-        k += 1
+    try:
+        while (cover := _ordered_cover_within(nbrs, k, cap)) is None:
+            k += 1
+    except RecursionError:  # the search recurses once per clique placed
+        raise ValueError(
+            f"graph has {g.n} vertices, beyond the exact search's recursion depth"
+        ) from None
     return k, cover
 
 

@@ -15,18 +15,23 @@ search and zip-and-alternate pass as the oracle for the strip-key sort
 of ``interleaved_sequence``.
 ``iter_clique_partitions`` enumerates every clique partition in
 canonical order, for ``enumerate_ccw`` and for the tests that walk all
-covers of a graph.
+covers of a graph.  The ``scrambled_layout`` fixture swaps in an
+interleave that breaks the span guarantee, for the failing side of the
+edge-span check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence, TypeVar
 
+import pytest
 from hypothesis import strategies as st
 
+import ccwidth.composition
 from ccwidth import Graph, OrderedCliqueCover, cover_width, is_clique, sequence_width
 
 T = TypeVar("T")
@@ -350,6 +355,26 @@ def zip_interleaved_sequence(
     for a, b in zip_longest(right1, right2, fillvalue=()):
         seq += paired(a, b)
     return tuple(seq), block_start, block_length
+
+
+# The path sum t = 3 (two 7-vertex paths, singleton covers) scrambled so
+# that three edges span 11 positions against a guarantee of 3: edge
+# (0, 1) and then (4, 5) of side 1, and edge (0, 1) of side 2.
+SCRAMBLED_SEQ = (
+    (1, 0), (1, 4), (2, 0), (1, 3), (2, 2), (2, 3), (2, 4),
+    (2, 5), (2, 6), (1, 6), (1, 2), (1, 1), (1, 5), (2, 1),
+)
+
+
+@pytest.fixture
+def scrambled_layout(monkeypatch):
+    """Make ``interleaved_sequence`` return ``SCRAMBLED_SEQ`` as its sequence."""
+    real = ccwidth.composition.interleaved_sequence
+
+    def scrambled(c1, c2, shared):
+        return dataclasses.replace(real(c1, c2, shared), seq=SCRAMBLED_SEQ)
+
+    monkeypatch.setattr(ccwidth.composition, "interleaved_sequence", scrambled)
 
 
 def brute_clique_number(g: Graph) -> int:

@@ -104,7 +104,7 @@ def test_criterion_2_composition_bound(bound_corpus):
     with _criterion(2, "composed width within ceil(3/2 (w1+w2)) with a "
                        "verifiable certificate on all 200 seeded instances"):
         for inst in bound_corpus:
-            assert inst.w1 + inst.w2 >= 1
+            assert cover_width(inst.c1) + cover_width(inst.c2) >= 1
             assert inst.g1.n <= 8 and inst.g2.n <= 8
             assert 1 <= len(inst.shared) <= 3
             cert = compose_covers(
@@ -167,7 +167,7 @@ def test_criterion_6_witness_integrity_and_determinism(quotient_corpus):
             assert cover_width(cc.witness) == cc.value
             quotient = cover_graph(cc.witness)
             assert (
-                ordering_width(quotient, LinearOrdering.identity(quotient.n))
+                ordering_width(quotient, LinearOrdering(range(quotient.n)))
                 == cc.value
             )
             assert ccw_exact(g) == cc

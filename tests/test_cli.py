@@ -4,10 +4,12 @@ from ccwidth import (
     ExperimentConfig,
     OrderedCliqueCover,
     compose_covers,
+    edge_span_claim_check,
     format_certificate,
     format_cover,
     format_edge_list,
     path_graph,
+    path_sum_instance,
     run_experiment,
 )
 from ccwidth.cli import main
@@ -68,6 +70,35 @@ class TestGraphCommands:
         )
         assert code == 1
         assert "limit" in err
+
+
+class TestSearchDepth:
+    """Searches deeper than Python's recursion limit end in one error line."""
+
+    ERROR = (
+        "error: graph has 1201 vertices, beyond the exact search's recursion depth\n"
+    )
+
+    def test_gen_path_sum(self, capsys):
+        args = ["gen", "--kind", "path-sum", "--t", "600"]
+        assert run_cli(args, capsys=capsys) == (1, "", self.ERROR)
+
+    def test_ccw_and_bw(self, capsys, monkeypatch):
+        text = format_edge_list(path_graph(1201))
+        for solver in ("ccw", "bw"):
+            args = [solver, "-", f"--limit-{solver}", "5000"]
+            result = run_cli(
+                args, stdin_text=text, capsys=capsys, monkeypatch=monkeypatch
+            )
+            assert result == (1, "", self.ERROR)
+
+    def test_experiment_marks_row_skipped(self, capsys):
+        code, out, _ = run_cli(
+            ["experiment", "--kind", "path-sum", "--t-start", "600", "--count", "1"],
+            capsys=capsys,
+        )
+        assert code == 0
+        assert out.splitlines()[1] == ",,,,,,,,,skipped"
 
 
 class TestComposeAndVerify:
@@ -256,6 +287,30 @@ class TestComposeAndVerify:
         assert code == 0
         assert err == ""
         assert "bound 1\nachieved 1\n" in out
+
+    def test_compose_check_claim_failure(
+        self, tmp_path, capsys, monkeypatch, scrambled_layout
+    ):
+        inst = path_sum_instance(3)
+        args = (inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        bundle = tmp_path / "inst.txt"
+        cert_file = tmp_path / "cert.txt"
+        gen = ["gen", "--kind", "path-sum", "--t", "3", "--out", str(bundle)]
+        assert run_cli(gen, capsys=capsys) == (0, "", "")
+        code, out, err = run_cli(
+            [
+                "compose",
+                "--instance", str(bundle),
+                "--check-claim",
+                "--out", str(cert_file),
+            ],
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert cert_file.read_text() == format_certificate(compose_covers(*args))
+        assert err == f"edge span check failed: {edge_span_claim_check(*args)}\n"
+        assert err.startswith("edge span check failed: SpanCheck(ok=False")
 
     def test_compose_requires_inputs(self, capsys, monkeypatch):
         code, _, err = run_cli(["compose"], capsys=capsys)

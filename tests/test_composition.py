@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from ccwidth import (
     Graph,
     OrderedCliqueCover,
+    SpanCheck,
     ccw_exact,
     ceil_three_halves,
     clique_sum,
     clique_sum_map,
     complete_graph,
     compose_covers,
+    cover_width,
     edge_span_claim_check,
     format_certificate,
     interleaved_sequence,
     parse_certificate,
     path_graph,
+    path_sum_instance,
     random_clique_sum_instance,
     sequence_width,
     star_graph,
@@ -166,7 +169,7 @@ class TestComposeCoversExamples:
             # outside the fallback regimes the whole shared set lives in one
             # clique, the extracted one
             owners = [cl for cl in cert.cliques if cl & shared_composed]
-            if (inst.w1 == 0) != (inst.w2 == 0):
+            if (cover_width(inst.c1) == 0) != (cover_width(inst.c2) == 0):
                 continue  # kept-whole regime places them in the old clique
             if len(owners) == 1 and shared_composed <= owners[0]:
                 continue
@@ -189,7 +192,7 @@ class TestComposeCoversCorpus:
         # both covers width 0: adjusted bound 1
         seen = 0
         for inst in _instances("zeros", 400):
-            if inst.w1 + inst.w2 != 0 or not inst.shared:
+            if cover_width(inst.c1) + cover_width(inst.c2) != 0 or not inst.shared:
                 continue
             seen += 1
             cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
@@ -207,7 +210,7 @@ class TestComposeCoversCorpus:
 
     def test_compaction_never_increases_width(self):
         for inst in _instances("compact", 120, min_total_width=1):
-            if (inst.w1 == 0) != (inst.w2 == 0):
+            if (cover_width(inst.c1) == 0) != (cover_width(inst.c2) == 0):
                 continue
             g2_map = clique_sum_map(inst.g1, inst.g2, inst.shared)
             composed = clique_sum(inst.g1, inst.g2, inst.shared)
@@ -374,6 +377,14 @@ class TestEdgeSpanClaimCheck:
         for check in (compose_covers, edge_span_claim_check):
             with pytest.raises(ValueError, match=message):
                 check(g, c, g, c, shared)
+
+    def test_failing_layout_reports_first_widest_edge(self, scrambled_layout):
+        # three edges tie at span 11: the first edge of side 1 is reported
+        inst = path_sum_instance(3)
+        check = edge_span_claim_check(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        assert check == SpanCheck(
+            ok=False, max_span=11, limit=3, counterexample=(1, 0, 1, 11)
+        )
 
     def test_one_sided_zero_runs(self):
         k3 = complete_graph(3)

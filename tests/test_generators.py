@@ -8,44 +8,55 @@ from ccwidth import (
     ccw_exact,
     complete_graph,
     cover_width,
-    generate,
+    format_edge_list,
     is_clique,
     path_graph,
     path_sum_instance,
     random_clique_sum_instance,
+    random_graph,
     run_experiment,
     star_graph,
     validate_cover,
 )
+from ccwidth.cli import main
+
+
+def gen(capsys, *args):
+    """Run ``ccwidth gen`` with ``args``; return (exit code, stdout, stderr)."""
+    code = main(["gen", *args])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestBasicGenerators:
-    def test_path_kind_uses_half_length(self):
-        g = generate("path", t=2)
-        assert g == path_graph(5)
+    def test_path_kind_uses_half_length(self, capsys):
+        expected = format_edge_list(path_graph(5))
+        assert gen(capsys, "--kind", "path", "--t", "2") == (0, expected, "")
 
-    def test_star(self):
-        g = generate("star", leaves=3)
-        assert g == star_graph(3)
+    def test_star(self, capsys):
+        g = star_graph(3)
         assert g.degree(0) == 3
+        assert gen(capsys, "--kind", "star", "--leaves", "3")[1] == format_edge_list(g)
 
-    def test_complete(self):
-        assert generate("complete", n=4) == complete_graph(4)
+    def test_complete(self, capsys):
+        expected = format_edge_list(complete_graph(4))
+        assert gen(capsys, "--kind", "complete", "--n", "4")[1] == expected
 
-    def test_random_is_seed_reproducible(self):
-        a = generate("random", n=6, p=0.5, seed=7)
-        b = generate("random", n=6, p=0.5, seed=7)
-        assert a == b
-        c = generate("random", n=6, p=0.5, seed=8)
-        assert a != c  # overwhelmingly likely for distinct seeds
+    def test_random_is_seed_reproducible(self, capsys):
+        args = ["--kind", "random", "--n", "6", "--p", "0.5", "--seed"]
+        a = gen(capsys, *args, "7")
+        assert a == gen(capsys, *args, "7")
+        g = random_graph(6, 0.5, random.Random("ccwidth-random-7"))
+        assert a == (0, format_edge_list(g), "")
+        assert a != gen(capsys, *args, "8")  # overwhelmingly likely
 
-    def test_bad_params_rejected(self):
+    def test_bad_params_rejected(self, capsys):
+        error = "error: path half-length t must be >= 1\n"
+        assert gen(capsys, "--kind", "path", "--t", "0") == (1, "", error)
         with pytest.raises(ValueError):
-            generate("path", t=0)
-        with pytest.raises(ValueError):
-            generate("random", n=4, p=1.5, seed=0)
-        with pytest.raises(ValueError):
-            generate("nonsense")
+            random_graph(4, 1.5, random.Random(0))
+        with pytest.raises(SystemExit):
+            gen(capsys, "--kind", "nonsense")
 
 
 class TestPathSumInstance:
@@ -53,7 +64,7 @@ class TestPathSumInstance:
         inst = path_sum_instance(1)
         assert inst.g1.n == 3
         assert inst.shared == {1: 1}
-        assert inst.w1 == inst.w2 == 1
+        assert cover_width(inst.c1) == cover_width(inst.c2) == 1
 
     def test_covers_are_exact_witnesses(self):
         for t in (1, 2, 3):
@@ -84,7 +95,7 @@ class TestRandomCliqueSumInstance:
         for i in range(30):
             rng = random.Random(f"gen-width-{i}")
             inst = random_clique_sum_instance(rng, min_total_width=1)
-            assert inst.w1 + inst.w2 >= 1
+            assert cover_width(inst.c1) + cover_width(inst.c2) >= 1
 
     def test_deterministic(self):
         a = random_clique_sum_instance(random.Random("gen-det"))

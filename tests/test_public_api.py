@@ -1,10 +1,13 @@
-"""The documented entry points and the package's export list agree."""
+"""The documented entry points and commands run as the README shows them."""
 
 import ast
+import io
 import re
+import shlex
 from pathlib import Path
 
 import ccwidth
+from ccwidth.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -18,6 +21,25 @@ def test_readme_entry_points_and_all_resolve():
     assert len(ccwidth.__all__) == len(set(ccwidth.__all__))
     for name in ccwidth.__all__:
         assert hasattr(ccwidth, name), name
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys, monkeypatch):
+    """Each line of the "Command line" block exits 0, pipes included."""
+    text = README.read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S)
+    assert block is not None, "README lost its command line block"
+    monkeypatch.chdir(tmp_path)
+    lines = block.group(1).splitlines()
+    assert len(lines) >= 5
+    for line in lines:
+        stdout = ""
+        for stage in line.split("|"):
+            prog, *argv = shlex.split(stage)
+            assert prog == "ccwidth", line
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdout))
+            code = main(argv)
+            stdout, err = capsys.readouterr()
+            assert code == 0, (line, err)
 
 
 def test_benchmark_names_are_exported():

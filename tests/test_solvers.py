@@ -40,7 +40,7 @@ class TestBandwidthExact:
         for n in range(2, 8):
             r = bandwidth_exact(path_graph(n))
             assert r.value == 1
-            assert r.witness == LinearOrdering.identity(n)
+            assert r.witness == LinearOrdering(range(n))
 
     def test_complete(self):
         for n in range(1, 7):
@@ -160,7 +160,7 @@ class TestCcwExact:
             assert cover_width(r.witness) == r.value
             quotient = cover_graph(r.witness)
             assert (
-                ordering_width(quotient, LinearOrdering.identity(quotient.n))
+                ordering_width(quotient, LinearOrdering(range(quotient.n)))
                 == r.value
             )
 
