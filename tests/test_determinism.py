@@ -14,6 +14,10 @@ witness digest and the reorder-fallback certificates were recorded with
 the position-by-position bandwidth DFS, before the bandwidth search and
 the compose reorder fallback moved onto the ordered-cover search; the
 (0, 777) one was recorded with the ladder that has no absorption.  The
+bandwidth reach digest (n = 13, p up to 0.8) was recorded with the
+per-entry room check, before the bounded search checked the window's
+unplaced neighbors cumulatively, so it holds that prune to the same
+values and witnesses on graphs the old check took seconds on.  The
 ``gen`` output digest was recorded while ``ccwidth gen`` still went
 through a ``generate(kind, **params)`` dispatcher, so it holds the
 direct generator calls that replaced it to the same bytes, exit codes
@@ -56,6 +60,10 @@ GEN_OUTPUT_SHA256 = "d9b86a763d351a793b7f5e8e61cd8f517b99878723ea62a0cbbe8e23e9b
 
 BANDWIDTH_WITNESS_SHA256 = (
     "ceb7b9b8451fa23a39f38bbd63a11ee7fd852f456af97415c2a7f382aaadd2d3"
+)
+
+BANDWIDTH_REACH_SHA256 = (
+    "43c27b20baeb33182a398a84f6f7ea6b7e30fb6f6fdbb8b33f90399372feccaf"
 )
 
 # Instances whose plain placement and side-kept variants all miss the
@@ -154,6 +162,17 @@ def test_bandwidth_witness_digest():
                 g = random_graph(n, p, random.Random(f"bw-witness-{n}-{p}-{i}"))
                 digest.update(format_bandwidth_result(bandwidth_exact(g)).encode())
     assert digest.hexdigest() == BANDWIDTH_WITNESS_SHA256
+
+
+def test_bandwidth_reach_digest():
+    """Values and lex-min witnesses of 50 seeded graphs, n 13, p 0.15-0.8."""
+    digest = hashlib.sha256()
+    for p in (0.15, 0.3, 0.5, 0.65, 0.8):
+        for i in range(10):
+            g = random_graph(13, p, random.Random(f"bw-reach-13-{p}-{i}"))
+            result = bandwidth_exact(g, limit=13)
+            digest.update(format_bandwidth_result(result).encode())
+    assert digest.hexdigest() == BANDWIDTH_REACH_SHA256
 
 
 @pytest.mark.parametrize("key", list(FALLBACK_CERTIFICATES))
