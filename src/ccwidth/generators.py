@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, is_clique
+from .graph import Graph
 from .layout import OrderedCliqueCover, cover_width
 from .solvers import DEFAULT_CCW_LIMIT, ccw_exact
 
@@ -80,7 +80,27 @@ MAX_ATTEMPTS = 1000
 
 
 def _cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
-    return [c for c in combinations(range(g.n), k) if is_clique(g, c)]
+    """Every k-clique of ``g`` as a sorted tuple, in lex order.
+
+    Grows each clique by a common neighbor above its largest vertex, in
+    increasing order, so the list is ``combinations(range(g.n), k)``
+    filtered to cliques.
+    """
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    out: list[tuple[int, ...]] = []
+
+    def grow(clique: tuple[int, ...], cand: int) -> None:
+        if len(clique) == k:
+            out.append(clique)
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            grow(clique + (v,), cand & nbrs[v])
+
+    grow((), (1 << g.n) - 1)
+    return out
 
 
 def random_clique_sum_instance(

@@ -7,14 +7,17 @@ an ordered cover left to right on vertex bitmasks, with cliques of at
 most one vertex for bandwidth and of any size for ccw.  Candidate
 cliques of the unplaced vertices are tried in lex order of their sorted
 tuples, and each clique is closed once it leaves the window of the last
-k; with one-vertex cliques a prefix is also abandoned once a window
-entry can no longer fit its unplaced neighbors before it leaves.
-Failed (unplaced set, window) states are memoized within one decision,
-in the style of Saxe's frontier dynamic program for small bandwidth
-(SIAM J. Alg. Disc. Meth. 1(4), 1980).  The k loop starts at
-ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the first k that
-succeeds is the width, and the first cover found is the lexicographically
-smallest optimal ordering or cover, so results are deterministic.
+k.  With one-vertex cliques a prefix is also abandoned once the oldest
+window entries, taken together, have more unplaced neighbors than there
+are places left before the last of them leaves: a Hall-type condition
+of the kind Del Corso and Manzini use to prune exact bandwidth search
+(Computing 62(3), 1999).  Failed (unplaced set, window) states are
+memoized within one decision, in the style of Saxe's frontier dynamic
+program for small bandwidth (SIAM J. Alg. Disc. Meth. 1(4), 1980).  The
+k loop starts at ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the
+first k that succeeds is the width, and the first cover found is the
+lexicographically smallest optimal ordering or cover, so results are
+deterministic.
 
 Both solvers refuse graphs above a documented size limit unless the
 caller overrides it explicitly.
@@ -120,13 +123,15 @@ def _ordered_cover_within(
     leaves at once, so it must have no unplaced neighbors.  A clique thus
     leaves only once all its neighbors are placed, so an unplaced vertex
     never touches a placed one outside the window.  With bounded cliques
-    a prefix is also abandoned once the unplaced neighbors of some window
-    entry outnumber the room in the cliques still to come before it
-    leaves.  Whether a prefix completes depends only on the unplaced set
-    and the window's unplaced neighbors, so failed states of that form
-    are memoized for this call, packed n bits per field into one int
-    (the nonzero unplaced set on top fixes the window's length).  More
-    than ``max_failed`` of them raise :class:`SearchBudgetExceeded`.
+    a prefix is also abandoned once, for some window entry, the unplaced
+    neighbors of that entry and all older ones together outnumber the
+    room in the cliques still to come before it leaves: the older ones
+    leave no later, so all those neighbors need places in that room.
+    Whether a prefix completes depends only on the unplaced set and the
+    window's unplaced neighbors, so failed states of that form are
+    memoized for this call, packed n bits per field into one int (the
+    nonzero unplaced set on top fixes the window's length).  More than
+    ``max_failed`` of them raise :class:`SearchBudgetExceeded`.
     """
     n = len(nbrs)
     bounded = cap < n
@@ -138,8 +143,10 @@ def _ordered_cover_within(
             return True
         if bounded:
             room = (k - len(window) + 1) * cap
+            due = 0
             for nb in window:
-                if (nb & unplaced).bit_count() > room:
+                due |= nb & unplaced
+                if due.bit_count() > room:
                     return False
                 room += cap
         key = unplaced

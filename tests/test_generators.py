@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from ccwidth import (
     validate_cover,
 )
 from ccwidth.cli import main
+from ccwidth.generators import _cliques_of_size
+from conftest import random_graph_corpus
 
 
 def gen(capsys, *args):
@@ -96,6 +99,15 @@ class TestRandomCliqueSumInstance:
             rng = random.Random(f"gen-width-{i}")
             inst = random_clique_sum_instance(rng, min_total_width=1)
             assert cover_width(inst.c1) + cover_width(inst.c2) >= 1
+
+    def test_shared_clique_candidates_in_lex_order(self):
+        # The rng picks by index into this list, so its order is pinned.
+        for g in random_graph_corpus("gen-cliques", 200, 0, 9):
+            for k in range(5):
+                expected = [
+                    c for c in itertools.combinations(range(g.n), k) if is_clique(g, c)
+                ]
+                assert _cliques_of_size(g, k) == expected
 
     def test_deterministic(self):
         a = random_clique_sum_instance(random.Random("gen-det"))

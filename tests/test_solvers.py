@@ -29,6 +29,7 @@ from conftest import (
     brute_ccw,
     dfs_bandwidth,
     enumerate_ccw,
+    feasible_ordering,
     graphs,
     iter_clique_partitions,
     random_graph_corpus,
@@ -89,9 +90,32 @@ def test_bandwidth_matches_dfs(g):
     assert (r.value, list(r.witness.order)) == dfs_bandwidth(g)
 
 
+def _decide_every_k(g):
+    """Check the bounded search against the DFS oracle at each k in 0..n-1."""
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    for k in range(g.n):
+        cover = _ordered_cover_within(nbrs, k, cap=1)
+        order = None if cover is None else [m.bit_length() - 1 for m in cover]
+        assert order == feasible_ordering(g, k), (g.edges(), k)
+
+
+class TestDecisionsAtEveryK:
+    """Both sides of each decision, also for k above the bandwidth."""
+
+    def test_exhaustive_up_to_five(self):
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                _decide_every_k(g)
+
+    def test_random_three_hundred(self):
+        for g in random_graph_corpus("bw-decide", 300, 6, 10):
+            _decide_every_k(g)
+
+
 def test_failed_state_cap():
-    # K5 has bandwidth 4: at k = 1 every one-vertex start fails the fit
-    # check, so the root is the first failed state memoized.
+    # K5 has bandwidth 4: at k = 1 each one-vertex start leaves 4 unplaced
+    # neighbors with one place before its window closes, so the fit check
+    # cuts it and the root is the first failed state memoized.
     g = complete_graph(5)
     nbrs = [g.neighbor_bits(v) for v in range(g.n)]
     assert _ordered_cover_within(nbrs, 1, cap=1) is None
