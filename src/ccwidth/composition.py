@@ -28,9 +28,12 @@ regular geometry that is exactly the middle position.  All positions
 are scored in one pass over the edges: an insertion only lengthens the
 edges that cross it and the edges of the new clique.
 
-When even the best insertion misses the bound, compose keeps S inside
-one side's own cliques instead of extracting it, and failing that
-reorders a clique set by a capped search (``_place_within_bound``).
+When even the best insertion misses the bound, this route and the
+width-0 one below share one fallback (``_side_kept_order``): keep S in
+side 1's own cliques, then in side 2's, order each set by the least
+width up to the bound that a capped bandwidth search on its quotient
+reaches, and take the narrower order, side 1 on ties.  If neither fits,
+compose raises.
 
 Degenerate widths take documented detours:
 
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import (
     Graph,
@@ -189,23 +192,17 @@ def _skeleton(
     layout: InterleaveLayout,
     sides: tuple[Sequence[frozenset[int]], Sequence[frozenset[int]]],
     shared: frozenset[int],
-    keep_side: int = 0,
 ) -> list[frozenset[int]]:
     """Skeleton cliques of ``layout`` with the shared set deleted.
 
     ``sides`` holds both covers' cliques and ``shared`` the shared set,
     all in composed numbering.  One entry per skeleton clique, possibly
-    empty after the deletion.  With ``keep_side`` 1 or 2, shared
-    vertices stay in that side's original cliques and are deleted from
-    the other side only.  That still yields a partition (every shared
-    vertex appears exactly once, in a clique it already belonged to),
-    which is a legal alternative to extracting S when the new clique
-    cannot satisfy all its neighbors at once.
+    empty after the deletion; the new clique holding exactly the shared
+    set goes in by :func:`_best_insertion`.  When that misses the bound,
+    compose drops the skeleton and orders a side-kept clique set instead
+    (:func:`_side_kept_order`).
     """
-    return [
-        sides[src - 1][idx] - (frozenset() if src == keep_side else shared)
-        for src, idx in layout.seq
-    ]
+    return [sides[src - 1][idx] - shared for src, idx in layout.seq]
 
 
 def _best_insertion(
@@ -274,57 +271,47 @@ def _best_insertion(
     return width, kept[:p] + [item] + kept[p:]
 
 
-def _place_within_bound(
+def _side_kept_order(
     g: Graph,
-    raw: list[frozenset[int]],
-    base: frozenset[int],
-    anchor: int,
+    sides: tuple[Sequence[frozenset[int]], Sequence[frozenset[int]]],
+    shared: frozenset[int],
     bound: int,
-    variants: Callable[[], Sequence[list[frozenset[int]]]] = lambda: (),
+    width: int,
 ) -> list[frozenset[int]]:
-    """Place ``base`` into ``raw``, climbing a repair ladder only on a miss.
+    """The fallback when the construction's ``width`` misses ``bound``.
 
-    Each rung runs only when the one before it misses ``bound``: (1) the
-    best insertion of a new clique holding exactly ``base``; (2) the
-    narrowest of ``variants()``, whole alternative sequences such as
-    keeping the shared vertices in one side's own cliques, earlier ones
-    winning ties; (3) a capped reorder of the plain clique set, then of
-    each variant's.  Raises ``ValueError`` if no rung fits.
+    Keeps the shared vertices in side 1's own cliques (deleting them from
+    side 2's), then the reverse; each is a clique partition of ``g``.
+    Ordering a set is a bandwidth decision on its quotient graph, tried
+    for k = ceil(maxdeg / 2) up to ``bound`` with a capped search (one
+    that runs out of budget counts as failed).  Returns the order of the
+    least k, side 1 on ties, or raises ``ValueError`` if neither fits.
     """
-    width, final = _best_insertion(g, raw, base, anchor)
-    if width <= bound:
-        return final
-    kept = [[cl for cl in seq if cl] for seq in variants()]
-    widths = [sequence_width(g, cliques) for cliques in kept]
-    narrowest = min(widths, default=width)
-    if narrowest <= bound:
-        return kept[widths.index(narrowest)]
-    # Last resort: the clique sets are sound, only their order is off.
-    # Finding an order of width <= bound is a bandwidth decision on the
-    # cover's quotient graph; try each clique set, budget-capped.
-    for cliques in [[cl for cl in raw if cl] + [base], *kept]:
-        reordered = _reorder_within_bound(g, cliques, bound)
-        if reordered is not None:
-            return reordered
-    raise ValueError(
-        "composition missed its bound: "
-        f"achieved {min(width, narrowest)} > bound {bound}"
-    )
-
-
-def _reorder_within_bound(
-    g: Graph, cliques: list[frozenset[int]], bound: int
-) -> list[frozenset[int]] | None:
-    """Reorder a clique set to width <= bound, if a capped search finds one."""
-    quotient = cover_graph(OrderedCliqueCover(g, cliques))
-    nbrs = [quotient.neighbor_bits(i) for i in range(quotient.n)]
-    try:
-        order = _ordered_cover_within(nbrs, bound, cap=1, max_failed=100_000)
-    except SearchBudgetExceeded:
-        return None
-    if order is None:
-        return None
-    return [cliques[m.bit_length() - 1] for m in order]
+    best = None
+    for keep in (0, 1):
+        cliques = [
+            cl if i == keep else cl - shared
+            for i, side in enumerate(sides)
+            for cl in side
+        ]
+        cliques = [cl for cl in cliques if cl]
+        quotient = cover_graph(OrderedCliqueCover(g, cliques))
+        nbrs = [quotient.neighbor_bits(i) for i in range(quotient.n)]
+        start = max((quotient.degree(i) + 1) // 2 for i in range(quotient.n))
+        for k in range(start, bound + 1):
+            try:
+                order = _ordered_cover_within(nbrs, k, cap=1, max_failed=100_000)
+            except SearchBudgetExceeded:
+                continue
+            if order is not None:
+                best = [cliques[m.bit_length() - 1] for m in order]
+                bound = k - 1  # side 2 has to be strictly narrower
+                break
+    if best is None:
+        raise ValueError(
+            f"composition missed its bound: achieved {width} > bound {bound}"
+        )
+    return best
 
 
 def _one_sided_zero_parts(
@@ -384,30 +371,22 @@ def compose_covers(
     if not shared:
         final = sides[0] + sides[1]
         bound = max(w1, w2)
-    elif (w1 == 0) != (w2 == 0):
-        zero, wide = sides if w1 == 0 else sides[::-1]
-        raw, block, anchor = _one_sided_zero_parts(zero, wide, S)
-        bound = ceil_three_halves(w1 + w2)
-        final = tuple(_place_within_bound(composed, raw, block, anchor, bound))
     else:
-        layout = interleaved_sequence(c1, c2, shared)
-        raw = _skeleton(layout, sides, S)
-        anchor = layout.block_start + layout.block_length // 2
         bound = ceil_three_halves(w1 + w2)
-        if w1 + w2 == 0:
-            bound += 1
-        final = tuple(
-            _place_within_bound(
-                composed,
-                raw,
-                S,
-                anchor,
-                bound,
-                lambda: [_skeleton(layout, sides, S, side) for side in (1, 2)],
-            )
-        )
+        if (w1 == 0) != (w2 == 0):
+            zero, wide = sides if w1 == 0 else sides[::-1]
+            raw, item, anchor = _one_sided_zero_parts(zero, wide, S)
+        else:
+            layout = interleaved_sequence(c1, c2, shared)
+            raw, item = _skeleton(layout, sides, S), S
+            anchor = layout.block_start + layout.block_length // 2
+            if w1 + w2 == 0:
+                bound += 1
+        width, final = _best_insertion(composed, raw, item, anchor)
+        if width > bound:
+            final = _side_kept_order(composed, sides, S, bound, width)
     achieved = cover_width(OrderedCliqueCover(composed, final))
-    return WidthCertificate(composed, final, w1, w2, bound, achieved)
+    return WidthCertificate(composed, tuple(final), w1, w2, bound, achieved)
 
 
 def verify_certificate(cert: WidthCertificate) -> CoverCheck:

@@ -9,13 +9,15 @@ cliques of the unplaced vertices are tried in lex order of their sorted
 tuples, and each clique is closed once it leaves the window of the last
 k.  With one-vertex cliques a prefix is also abandoned once the oldest
 window entries, taken together, have more unplaced neighbors than there
-are places left before the last of them leaves: a Hall-type condition
-of the kind Del Corso and Manzini use to prune exact bandwidth search
-(Computing 62(3), 1999).  Failed (unplaced set, window) states are
-memoized within one decision, in the style of Saxe's frontier dynamic
-program for small bandwidth (SIAM J. Alg. Disc. Meth. 1(4), 1980).  The
-k loop starts at ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the
-first k that succeeds is the width, and the first cover found is the
+are places left before the last of them leaves, or once the unplaced
+vertices within distance d of the window outnumber the places in the
+next d * k positions: Hall-type conditions of the kind Del Corso and
+Manzini use to prune exact bandwidth search (Computing 62(3), 1999).
+Failed (unplaced set, window) states are memoized within one decision,
+in the style of Saxe's frontier dynamic program for small bandwidth
+(SIAM J. Alg. Disc. Meth. 1(4), 1980).  The k loop starts at
+ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the first k that
+succeeds is the width, and the first cover found is the
 lexicographically smallest optimal ordering or cover, so results are
 deterministic.
 
@@ -127,6 +129,10 @@ def _ordered_cover_within(
     neighbors of that entry and all older ones together outnumber the
     room in the cliques still to come before it leaves: the older ones
     leave no later, so all those neighbors need places in that room.
+    Likewise once, for some d >= 2, the unplaced vertices within
+    distance d of the window along unplaced vertices outnumber the room
+    in the next d * k cliques: each step of such a path moves at most k
+    cliques on.
     Whether a prefix completes depends only on the unplaced set and the
     window's unplaced neighbors, so failed states of that form are
     memoized for this call, packed n bits per field into one int (the
@@ -149,6 +155,19 @@ def _ordered_cover_within(
                 if due.bit_count() > room:
                     return False
                 room += cap
+            room = k * cap
+            ball = frontier = due
+            while frontier and room < unplaced.bit_count():
+                room += k * cap
+                grown = ball
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grown |= nbrs[low.bit_length() - 1]
+                frontier = grown & unplaced & ~ball
+                ball |= frontier
+                if ball.bit_count() > room:
+                    return False
         key = unplaced
         for nb in window:
             key = key << n | nb & unplaced

@@ -17,7 +17,10 @@ of ``interleaved_sequence``.
 canonical order, for ``enumerate_ccw`` and for the tests that walk all
 covers of a graph.  The ``scrambled_layout`` fixture swaps in an
 interleave that breaks the span guarantee, for the failing side of the
-edge-span check.
+edge-span check.  ``band_sum_instance`` glues two seeded banded sides
+with long covers, a regime the small random instances rarely reach,
+and ``wide_side_sum`` is a width-0 side whose whole-clique insertion
+misses the bound.
 """
 
 from __future__ import annotations
@@ -32,7 +35,16 @@ import pytest
 from hypothesis import strategies as st
 
 import ccwidth.composition
-from ccwidth import Graph, OrderedCliqueCover, cover_width, is_clique, sequence_width
+from ccwidth import (
+    CliqueSumInstance,
+    Graph,
+    OrderedCliqueCover,
+    cover_width,
+    is_clique,
+    random_clique_sum_instance,
+    sequence_width,
+)
+from ccwidth.generators import _cliques_of_size
 
 T = TypeVar("T")
 
@@ -375,6 +387,79 @@ def scrambled_layout(monkeypatch):
         return dataclasses.replace(real(c1, c2, shared), seq=SCRAMBLED_SEQ)
 
     monkeypatch.setattr(ccwidth.composition, "interleaved_sequence", scrambled)
+
+
+def band_side(rng: random.Random, t: int, w: int) -> tuple[Graph, OrderedCliqueCover]:
+    """A banded graph and its band cover: ``t`` cliques in a row, relabelled.
+
+    Each clique holds 1-3 vertices, all adjacent.  Two vertices in
+    cliques at distance 1..w are adjacent with one probability p drawn
+    from U(0.2, 0.9), so the cover has width at most w.  The vertices
+    are then relabelled by a random permutation.
+    """
+    home = [i for i in range(t) for _ in range(rng.randint(1, 3))]
+    n = len(home)
+    label = list(range(n))
+    rng.shuffle(label)
+    p = rng.uniform(0.2, 0.9)
+    edges = [
+        (label[u], label[v])
+        for u, v in itertools.combinations(range(n), 2)
+        if home[u] == home[v] or (home[v] - home[u] <= w and rng.random() < p)
+    ]
+    g = Graph(n, edges)
+    cliques = [[label[v] for v in range(n) if home[v] == i] for i in range(t)]
+    return g, OrderedCliqueCover(g, cliques)
+
+
+def band_sum_instance(
+    rng: random.Random, t_lo: int, t_hi: int, w: int, shared_max: int = 4
+) -> CliqueSumInstance:
+    """Two :func:`band_side` sides with t_lo..t_hi cliques each, glued.
+
+    The shared clique is drawn as ``random_clique_sum_instance`` draws
+    it: a size in 1..shared_max, smaller when a side has no clique that
+    large, a uniform clique of that size on each side, and a random
+    bijection between them.
+    """
+    g1, c1 = band_side(rng, rng.randint(t_lo, t_hi), w)
+    g2, c2 = band_side(rng, rng.randint(t_lo, t_hi), w)
+    for k in range(rng.randint(1, min(shared_max, g1.n, g2.n)), 0, -1):
+        q1, q2 = _cliques_of_size(g1, k), _cliques_of_size(g2, k)
+        if q1 and q2:
+            break
+    side1 = list(rng.choice(q1))
+    side2 = list(rng.choice(q2))
+    rng.shuffle(side2)
+    return CliqueSumInstance(g1, c1, g2, c2, dict(zip(side1, side2)))
+
+
+# Generator settings of the fallback corpora ``fb-{s}-{i}``.
+FALLBACK_PARAMS = {
+    0: {},
+    1: dict(p_lo=0.4, p_hi=0.9),
+    2: dict(p_lo=0.1, p_hi=0.5),
+}
+
+
+def fallback_instance(s: int, i: int) -> CliqueSumInstance:
+    """Instance ``fb-{s}-{i}``: sides up to 9 vertices, shared up to 5."""
+    rng = random.Random(f"fb-{s}-{i}")
+    return random_clique_sum_instance(rng, n_hi=9, shared_max=5, **FALLBACK_PARAMS[s])
+
+
+def wide_side_sum() -> CliqueSumInstance:
+    """An edge glued onto an edge of a width-2 side, which it vanishes into.
+
+    Side 2's cover splits the shared pair {1, 5} over two cliques, so
+    keeping side 1's edge whole and inserting it reaches width 4 against
+    a bound of 3; the composed graph is side 2 relabelled, of width 2.
+    """
+    g1 = Graph(2, [(0, 1)])
+    g2 = Graph(9, [(0, 5), (1, 2), (1, 3), (1, 5), (1, 7), (4, 5), (5, 6), (5, 8)])
+    c1 = OrderedCliqueCover(g1, [[0, 1]])
+    c2 = OrderedCliqueCover(g2, [[7], [2], [1, 3], [8], [4, 5], [0], [6]])
+    return CliqueSumInstance(g1, c1, g2, c2, {0: 5, 1: 1})
 
 
 def brute_clique_number(g: Graph) -> int:

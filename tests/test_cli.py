@@ -13,6 +13,7 @@ from ccwidth import (
     run_experiment,
 )
 from ccwidth.cli import main
+from conftest import wide_side_sum
 
 
 def run_cli(args, stdin_text=None, capsys=None, monkeypatch=None):
@@ -234,6 +235,23 @@ class TestComposeAndVerify:
         assert err.startswith("error: composition missed its bound")
         assert len(err.splitlines()) == 1
         assert not out_file.exists()
+
+    def test_compose_width_zero_side_swallowed(self, tmp_path, capsys):
+        # the whole-clique insertion misses (4 > 3); the side-kept fallback
+        # writes side 2's own cover back
+        inst = wide_side_sum()
+        args = ["compose", "--shared", "0=5,1=1"]
+        for side, g, c in (("1", inst.g1, inst.c1), ("2", inst.g2, inst.c2)):
+            (tmp_path / f"g{side}.txt").write_text(format_edge_list(g))
+            (tmp_path / f"c{side}.txt").write_text(format_cover(c.cliques))
+            args += [f"--graph{side}", str(tmp_path / f"g{side}.txt")]
+            args += [f"--cover{side}", str(tmp_path / f"c{side}.txt")]
+        cert_file = tmp_path / "cert.txt"
+        code, _, err = run_cli([*args, "--out", str(cert_file)], capsys=capsys)
+        assert (code, err) == (0, "")
+        assert cert_file.read_text().splitlines()[-2:] == ["bound 3", "achieved 2"]
+        code, out, _ = run_cli(["verify", str(cert_file)], capsys=capsys)
+        assert (code, out) == (0, "ok: achieved 2 <= bound 3\n")
 
     def test_compose_rejects_repeated_shared_vertex(
         self, tmp_path, capsys, monkeypatch

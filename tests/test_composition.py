@@ -28,8 +28,19 @@ from ccwidth import (
     validate_cover,
     verify_certificate,
 )
-from ccwidth.composition import _best_insertion, _place_within_bound, _skeleton
-from conftest import brute_ccw, graphs, interleave, scan_insertion
+import ccwidth.composition
+from ccwidth.composition import _best_insertion, _side_kept_order, _skeleton
+from conftest import (
+    band_sum_instance,
+    brute_ccw,
+    dfs_bandwidth,
+    fallback_instance,
+    graphs,
+    interleave,
+    quotient_edges,
+    scan_insertion,
+    wide_side_sum,
+)
 
 
 def _instances(seed_prefix, count, **kwargs):
@@ -173,7 +184,7 @@ class TestComposeCoversExamples:
                 continue  # kept-whole regime places them in the old clique
             if len(owners) == 1 and shared_composed <= owners[0]:
                 continue
-            spread += 1  # side-kept and reordered sets may keep side cliques
+            spread += 1  # a side-kept set keeps them in side cliques
         assert spread <= 1
 
 
@@ -266,34 +277,123 @@ class TestComposeCoversCorpus:
             compose_covers(p3, c5, p3, c3, {1: 1})
 
 
-class TestPlaceWithinBound:
-    """The repair ladder on two disjoint edges, 0-1 and 2-3, at bound 0.
+def _compose(inst):
+    return compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
 
-    No sequence that splits an edge has width 0, so inserting {1} into
-    {0}, {2}, {3} always misses and only whole-edge variants can fit.
-    """
 
-    G = Graph(4, [(0, 1), (2, 3)])
-    RAW = [frozenset({0}), frozenset({2}), frozenset({3})]
-    A = [frozenset({0, 1}), frozenset({2, 3})]
-    B = [frozenset({2, 3}), frozenset(), frozenset({0, 1})]
-    WIDE = [frozenset({0}), frozenset({2}), frozenset({1}), frozenset({3})]
+class TestSideKeptFallback:
+    """The one fallback, taken when the best insertion misses the bound."""
 
-    def _place(self, bound, *variants):
-        return _place_within_bound(
-            self.G, self.RAW, frozenset({1}), 0, bound, lambda: variants
-        )
+    def test_fitting_first_placement_runs_no_search(self, monkeypatch):
+        placed = []
 
-    def test_insertion_within_bound_needs_no_variant(self):
-        assert sequence_width(self.G, self._place(1)) == 1
+        def insertion(*args):
+            placed.append(_best_insertion(*args))
+            return placed[-1]
 
-    def test_narrowest_variant_wins_and_ties_go_to_the_earlier(self):
-        assert self._place(0, self.WIDE, self.B, self.A) == self.B[::2]
-        assert self._place(0, self.A, self.B) == self.A
+        def search(*args, **kwargs):
+            raise AssertionError("searched although the insertion fit")
 
-    def test_raises_when_no_rung_fits(self):
-        with pytest.raises(ValueError, match="achieved 1 > bound 0"):
-            self._place(0, self.WIDE)
+        monkeypatch.setattr(ccwidth.composition, "_best_insertion", insertion)
+        monkeypatch.setattr(ccwidth.composition, "_ordered_cover_within", search)
+        for inst in _instances("fits", 60):
+            placed.clear()
+            cert = _compose(inst)
+            if not inst.shared:
+                continue
+            width, final = placed.pop()
+            assert width == cert.achieved <= cert.bound
+            assert cert.cliques == tuple(final)
+
+    def test_narrower_set_wins_and_side_1_wins_ties(self):
+        # the star of vertex 1 over 0, 4 and the triangle 1-2-3: keeping 1
+        # in side 2's triangle is narrower (1) than in side 1's clique (2)
+        g = Graph(5, [(0, 1), (1, 4), (1, 2), (1, 3), (2, 3)])
+        sides = ([{0}, {1}, {4}], [{1, 2, 3}])
+        sides = tuple([frozenset(cl) for cl in side] for side in sides)
+        shared = frozenset({1})
+        assert _side_kept_order(g, sides, shared, 2, 9) == [{0}, {1, 2, 3}, {4}]
+        # on the path 0-1-2 both sets have width 1 and side 1's is taken
+        g = path_graph(3)
+        for sides, kept in [
+            (([{0, 1}], [{1, 2}]), [{0, 1}, {2}]),
+            (([{1, 2}], [{0, 1}]), [{1, 2}, {0}]),
+        ]:
+            sides = tuple([frozenset(cl) for cl in side] for side in sides)
+            assert _side_kept_order(g, sides, shared, 1, 9) == kept
+
+    def test_raises_when_neither_set_fits(self):
+        g = path_graph(3)
+        sides = ([frozenset({0, 1})], [frozenset({1, 2})])
+        with pytest.raises(ValueError, match="missed its bound: achieved 9 > bound 0"):
+            _side_kept_order(g, sides, frozenset({1}), 0, 9)
+
+    def test_width_zero_side_swallowed_by_the_wide_side(self):
+        # the width-0 route keeps side 1's edge whole, which reaches 4 > 3;
+        # keeping the pair in side 2's own cliques gives back side 2's cover
+        inst = wide_side_sum()
+        cert = _compose(inst)
+        assert (cert.w1, cert.w2, cert.bound, cert.achieved) == (0, 2, 3, 2)
+        assert (cert.graph.n, len(cert.graph.edges())) == (9, 8)  # side 2
+        assert verify_certificate(cert).ok
+
+    def test_achieved_is_the_narrower_side_kept_bandwidth(self, monkeypatch):
+        """Differential check of every first-placement miss in a seeded corpus.
+
+        The corpus holds the fb-* misses and seeded width-1 band sums.  The
+        achieved width must be the smaller of the two side-kept quotients'
+        bandwidths, found by the ``feasible_ordering`` oracle.
+        """
+        fallback = ccwidth.composition._side_kept_order
+        misses = []
+
+        def spy(*args):
+            misses.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(ccwidth.composition, "_side_kept_order", spy)
+        fb_misses = [(0, 777), (1, 725), (1, 809), (2, 679), (2, 952), (2, 1009)]
+        corpus = [fallback_instance(*key) for key in fb_misses + [(2, 1549)]]
+        corpus += [
+            band_sum_instance(random.Random(f"band-miss-{i}"), 3, 9, 1)
+            for i in range(200)
+        ]
+        checked = 0
+        for inst in corpus:
+            misses.clear()
+            cert = _compose(inst)
+            if not misses:
+                continue
+            checked += 1
+            g2_map = clique_sum_map(inst.g1, inst.g2, inst.shared)
+            sides = (
+                [sorted(cl) for cl in inst.c1.cliques],
+                [sorted(g2_map[v] for v in cl) for cl in inst.c2.cliques],
+            )
+            shared = set(inst.shared)
+            widths = []
+            for keep in (0, 1):
+                classes = [
+                    cl if i == keep else [v for v in cl if v not in shared]
+                    for i, side in enumerate(sides)
+                    for cl in side
+                ]
+                classes = [cl for cl in classes if cl]
+                quotient = Graph(len(classes), quotient_edges(cert.graph, classes))
+                widths.append(dfs_bandwidth(quotient)[0])
+            assert cert.achieved == min(widths) <= cert.bound
+        assert checked >= 20
+
+
+class TestLongCovers:
+    def test_band_sums_meet_their_bound(self):
+        # 8-25 cliques a side: the regime where the insertion misses most
+        for w in (1, 2):
+            for i in range(50):
+                inst = band_sum_instance(random.Random(f"long-{w}-{i}"), 8, 25, w)
+                cert = _compose(inst)
+                assert cert.achieved <= cert.bound
+                assert verify_certificate(cert).ok
 
 
 class TestVerifyCertificate:

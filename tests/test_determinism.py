@@ -2,26 +2,28 @@
 
 The CSV digests and witnesses were recorded with the partition-enumeration
 ccw solver, so they hold every later solver to the same lex-min
-witnesses and the same CSV bytes.  The certificate digest was recorded
-when compose's repair ladder lost absorption (folding the shared set's
-home remnants into the new clique), which changed one of these
-certificates; it holds every later composition to the same certificate
-bytes.  The layout digest was recorded while strips were still built as
-a partition of each cover around its anchor block and zipped pairwise,
-so it holds the strip-key sort that replaced them to the same sequences
-and span checks.  The bandwidth
-witness digest and the reorder-fallback certificates were recorded with
-the position-by-position bandwidth DFS, before the bandwidth search and
-the compose reorder fallback moved onto the ordered-cover search; the
-(0, 777) one was recorded with the ladder that has no absorption.  The
-bandwidth reach digest (n = 13, p up to 0.8) was recorded with the
-per-entry room check, before the bounded search checked the window's
-unplaced neighbors cumulatively, so it holds that prune to the same
-values and witnesses on graphs the old check took seconds on.  The
-``gen`` output digest was recorded while ``ccwidth gen`` still went
-through a ``generate(kind, **params)`` dispatcher, so it holds the
-direct generator calls that replaced it to the same bytes, exit codes
-and error lines.
+witnesses and the same CSV bytes.  The certificate digest and the
+fallback certificates were recorded when compose's repair ladder gave
+way to one fallback: when the best insertion of the shared clique
+misses the bound, keep the shared set inside side 1's own cliques,
+then side 2's, order each clique set by the least width a capped
+search on its quotient reaches, and take the narrower, side 1 on ties.
+Certificates whose best insertion fits were byte-identical across that
+change; certificate-pin-62 dropped from achieved 3 to 2.  The layout
+digest was recorded while strips were still built as a partition of
+each cover around its anchor block and zipped pairwise, so it holds the
+strip-key sort that replaced them to the same sequences and span
+checks.  The bandwidth witness digest was recorded with the
+position-by-position bandwidth DFS, before the bandwidth search moved
+onto the ordered-cover search.  The bandwidth reach digest (n = 13, p
+up to 0.8) was recorded with the per-entry room check, before the
+bounded search checked the window's unplaced neighbors cumulatively
+and by distance, so it holds those prunes to the same values and
+witnesses on graphs the old check took seconds on.  The ``gen`` output
+digest was recorded while ``ccwidth gen`` still went through a
+``generate(kind, **params)`` dispatcher, so it holds the direct
+generator calls that replaced it to the same bytes, exit codes and
+error lines.
 """
 
 import hashlib
@@ -44,6 +46,7 @@ from ccwidth import (
     run_experiment,
 )
 from ccwidth.cli import main
+from conftest import fallback_instance
 
 EXPERIMENT_SHA256 = {
     0: "f17237a8f31169307c86110f390c6c201f9268a140e4ed49236a24f534c4bcd0",
@@ -54,7 +57,7 @@ EXPERIMENT_SHA256 = {
 
 LAYOUT_SHA256 = "d3fd083939da7225ce081dfd01d0459a009a921faa2e405c72f266c1b7cae8ae"
 
-CERTIFICATE_SHA256 = "744cc674f3d9ca770c1d4e03a244d1d8a6d233ba21eea736ef92089aea30ab86"
+CERTIFICATE_SHA256 = "ee1fe686ed57f85f19bf7390ed9d27549c02d53b71b67a8b5a3dfad1fd0fe356"
 
 GEN_OUTPUT_SHA256 = "d9b86a763d351a793b7f5e8e61cd8f517b99878723ea62a0cbbe8e23e9b4caf5"
 
@@ -66,36 +69,38 @@ BANDWIDTH_REACH_SHA256 = (
     "43c27b20baeb33182a398a84f6f7ea6b7e30fb6f6fdbb8b33f90399372feccaf"
 )
 
-# Instances whose plain placement and side-kept variants all miss the
-# bound, so compose reaches the reorder fallback: (candidate sets tried,
-# certificate sha256).  In (1, 725) the first candidate set cannot be
-# reordered within the bound and the side-kept one can.  (0, 777) is
-# the one whose bound only absorption met before the ladder lost it.
-FALLBACK_PARAMS = {
-    0: {},
-    1: dict(p_lo=0.4, p_hi=0.9),
-    2: dict(p_lo=0.1, p_hi=0.5),
-}
+# The fb-* instances whose best insertion misses the bound, so compose
+# orders a side-kept clique set instead: (achieved, certificate sha256).
+# (1, 725) and (0, 777) fit only at the bound, and (2, 1549) has a
+# width-0 side.
 FALLBACK_CERTIFICATES = {
     (1, 725): (
-        [False, True],
-        "2a356817594ef0b68b3326d8b40b0088120ab4e23d6097b1bd849d0e121962ad",
+        3,
+        "2fd7235a619c89db5d8785812a3389353859ee666ef2eab2490af3347cba8253",
     ),
     (1, 809): (
-        [True],
-        "f5b3619353c64ebbfa64cf16cefb672b51841d1b4eac3b4711a04301c9c21f40",
+        2,
+        "fe47da923aa07ae325448e49d29585d1f66ebb0748307ebe74ee01f8a94b4a58",
     ),
     (2, 679): (
-        [True],
-        "6bc542756314d28a9585a043b8c822ff1145601ed2e4dc4842d73b243626e9bb",
+        2,
+        "482ff24baba289ea20e2ff0c1998cac0d7784c46c9d1d9a2c589d5fcaa0e2b4c",
     ),
     (2, 1549): (
-        [True],
-        "5bbd858fc283cfe9e83eda666c7d17c5780ec011756cab31c4d127fbfa0e7dab",
+        2,
+        "f4f2fec0c2f368a752be077ec858dfa26150a9da1cba9161828050713c4058e3",
     ),
     (0, 777): (
-        [True],
-        "9f9030cc56b2c3e7d4599dbf3204bbe3cb0151d06082241eb42fa711730da162",
+        3,
+        "5d6f0386150519670c9cb2382134cdac1be4027e50def38baf9b92e8b2df837a",
+    ),
+    (2, 952): (
+        2,
+        "1477de15bddf809eb585d919b11cc0e1eda401f0e2ff3a83a69495f4534ed0c7",
+    ),
+    (2, 1009): (
+        2,
+        "00a4f5c244ab5d03ca9bbbde00b0373bb65cd4d243ee41ca0c8576fa52f38e00",
     ),
 }
 
@@ -177,23 +182,20 @@ def test_bandwidth_reach_digest():
 
 @pytest.mark.parametrize("key", list(FALLBACK_CERTIFICATES))
 def test_reorder_fallback_certificates(key, monkeypatch):
-    s, i = key
-    expected_tries, expected_sha = FALLBACK_CERTIFICATES[key]
-    reorder = ccwidth.composition._reorder_within_bound
-    tries = []
+    expected_achieved, expected_sha = FALLBACK_CERTIFICATES[key]
+    insertion = ccwidth.composition._best_insertion
+    widths = []
 
-    def spy(g, cliques, bound):
-        found = reorder(g, cliques, bound)
-        tries.append(found is not None)
-        return found
+    def spy(*args):
+        width, final = insertion(*args)
+        widths.append(width)
+        return width, final
 
-    monkeypatch.setattr(ccwidth.composition, "_reorder_within_bound", spy)
-    inst = random_clique_sum_instance(
-        random.Random(f"fb-{s}-{i}"), n_hi=9, shared_max=5, **FALLBACK_PARAMS[s]
-    )
+    monkeypatch.setattr(ccwidth.composition, "_best_insertion", spy)
+    inst = fallback_instance(*key)
     cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
-    assert tries == expected_tries
-    assert cert.achieved <= cert.bound
+    assert len(widths) == 1 and widths[0] > cert.bound
+    assert cert.achieved == expected_achieved
     assert hashlib.sha256(format_certificate(cert).encode()).hexdigest() == expected_sha
 
 
