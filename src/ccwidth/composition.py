@@ -355,6 +355,22 @@ def compose_covers(
     bound max(w1, w2); both widths zero: bound 1, flagged as adjusted).
     Raises ``ValueError`` rather than return a cover above that bound.
     """
+    return _compose(g1, c1, g2, c2, shared)[0]
+
+
+def _compose(
+    g1: Graph,
+    c1: OrderedCliqueCover,
+    g2: Graph,
+    c2: OrderedCliqueCover,
+    shared: dict[int, int],
+) -> tuple[WidthCertificate, InterleaveLayout | None]:
+    """:func:`compose_covers`, plus the interleave it built (None if none).
+
+    ``achieved`` comes from the construction: the best insertion's
+    width, the fallback order's width, or max(w1, w2) for the disjoint
+    union; :func:`verify_certificate` stays the independent check.
+    """
     if c1.graph != g1:
         raise ValueError("c1 does not cover g1")
     if c2.graph != g2:
@@ -368,9 +384,10 @@ def compose_covers(
     S = frozenset(shared)
     w1 = cover_width(c1)
     w2 = cover_width(c2)
+    layout = None
     if not shared:
         final = sides[0] + sides[1]
-        bound = max(w1, w2)
+        bound = width = max(w1, w2)
     else:
         bound = ceil_three_halves(w1 + w2)
         if (w1 == 0) != (w2 == 0):
@@ -385,8 +402,8 @@ def compose_covers(
         width, final = _best_insertion(composed, raw, item, anchor)
         if width > bound:
             final = _side_kept_order(composed, sides, S, bound, width)
-    achieved = cover_width(OrderedCliqueCover(composed, final))
-    return WidthCertificate(composed, tuple(final), w1, w2, bound, achieved)
+            width = sequence_width(composed, final)
+    return WidthCertificate(composed, tuple(final), w1, w2, bound, width), layout
 
 
 def verify_certificate(cert: WidthCertificate) -> CoverCheck:
@@ -466,12 +483,29 @@ def edge_span_claim_check(
     if c1.graph != g1 or c2.graph != g2:
         raise ValueError("covers do not match their graphs")
     check_shared_clique(g1, g2, shared)
+    return _span_check(g1, c1, g2, c2, shared, None)
+
+
+def _span_check(
+    g1: Graph,
+    c1: OrderedCliqueCover,
+    g2: Graph,
+    c2: OrderedCliqueCover,
+    shared: dict[int, int],
+    layout: InterleaveLayout | None,
+) -> SpanCheck:
+    """:func:`edge_span_claim_check` on checked inputs.
+
+    Reuses ``layout``, the interleave compose built for the same inputs,
+    and builds one when compose built none.
+    """
     w1 = cover_width(c1)
     w2 = cover_width(c2)
     if w1 + w2 == 0 or not shared:
         return SpanCheck(ok=True, max_span=0, limit=0, vacuous=True)
-    seq = interleaved_sequence(c1, c2, shared).seq
-    pos = {entry: p for p, entry in enumerate(seq)}
+    if layout is None:
+        layout = interleaved_sequence(c1, c2, shared)
+    pos = {entry: p for p, entry in enumerate(layout.seq)}
     beta1, beta2 = max(w1, 1), max(w2, 1)
     limit = beta1 + beta2 + min(beta1, beta2)
     max_span = 0

@@ -13,11 +13,14 @@ are places left before the last of them leaves, or once the unplaced
 vertices within distance d of the window outnumber the places in the
 next d * k positions: Hall-type conditions of the kind Del Corso and
 Manzini use to prune exact bandwidth search (Computing 62(3), 1999).
+With cliques of any size the first condition counts a greedy
+independent set of those neighbors instead, one per clique.
 Failed (unplaced set, window) states are memoized within one decision,
 in the style of Saxe's frontier dynamic program for small bandwidth
 (SIAM J. Alg. Disc. Meth. 1(4), 1980).  The k loop starts at
-ceil(maxdeg / 2) for bandwidth and at 0 for ccw; the first k that
-succeeds is the width, and the first cover found is the
+ceil(maxdeg / 2) for bandwidth, and for ccw at 0 when every component
+is a clique and at 1 otherwise (ccw = 0 exactly on those graphs); the
+first k that succeeds is the width, and the first cover found is the
 lexicographically smallest optimal ordering or cover, so results are
 deterministic.
 
@@ -111,6 +114,33 @@ def _cliques_in_lex_order(
         )
 
 
+def _spread_exceeds(nbrs: list[int], due: int, slots: int) -> bool:
+    """Whether a greedy independent set of ``due`` has over ``slots`` vertices.
+
+    Each clique holds at most one vertex of an independent set, so such
+    a set bounds from below the cliques needed to cover ``due``.  Picks
+    the vertex with the fewest neighbors left in ``due`` (lowest on
+    ties) and drops it and its neighbors, until the picks plus what is
+    left cannot pass ``slots``.
+    """
+    found = 0
+    while found + due.bit_count() > slots:
+        if found == slots:
+            return True
+        best = due & -due
+        fewest = (nbrs[best.bit_length() - 1] & due).bit_count()
+        rest = due ^ best
+        while rest and fewest:
+            low = rest & -rest
+            rest ^= low
+            count = (nbrs[low.bit_length() - 1] & due).bit_count()
+            if count < fewest:
+                best, fewest = low, count
+        due &= ~(best | nbrs[best.bit_length() - 1])
+        found += 1
+    return False
+
+
 def _ordered_cover_within(
     nbrs: list[int], k: int, cap: int, max_failed: int | None = None
 ) -> list[int] | None:
@@ -132,7 +162,10 @@ def _ordered_cover_within(
     Likewise once, for some d >= 2, the unplaced vertices within
     distance d of the window along unplaced vertices outnumber the room
     in the next d * k cliques: each step of such a path moves at most k
-    cliques on.
+    cliques on.  With unbounded cliques the first check counts a greedy
+    independent set of those neighbors against the cliques still to
+    come (:func:`_spread_exceeds`), as no clique holds two of its
+    vertices.  Each check cuts only prefixes that cannot complete.
     Whether a prefix completes depends only on the unplaced set and the
     window's unplaced neighbors, so failed states of that form are
     memoized for this call, packed n bits per field into one int (the
@@ -167,6 +200,14 @@ def _ordered_cover_within(
                 frontier = grown & unplaced & ~ball
                 ball |= frontier
                 if ball.bit_count() > room:
+                    return False
+        else:
+            slots = k - len(window)
+            due = 0
+            for nb in window:
+                slots += 1
+                due |= nb & unplaced
+                if due.bit_count() > slots and _spread_exceeds(nbrs, due, slots):
                     return False
         key = unplaced
         for nb in window:
@@ -215,7 +256,8 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
     """Minimum cover width over all ordered clique covers, with a witness.
 
     Decides "ccw <= k" for k = 0, 1, 2, ... with a memoized left-to-right
-    search over ordered clique covers; the first k that succeeds is the
+    search over ordered clique covers, skipping k = 0 unless every
+    component is a clique; the first k that succeeds is the
     clique cover width, and the cover found for it is the witness: the
     lexicographically smallest optimal cover (cliques compared as
     sorted tuples, in cover order).
@@ -227,7 +269,11 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
             f"graph has {g.n} vertices, above the clique-cover search limit "
             f"{limit}; pass a larger limit explicitly to override"
         )
-    value, cover = _least_width_cover(g, 0, cap=g.n)
+    # ccw = 0 exactly when every component is a clique, that is when each
+    # closed neighborhood equals that of the least vertex in it.
+    closed = [g.neighbor_bits(v) | 1 << v for v in range(g.n)]
+    cluster = all(c == closed[(c & -c).bit_length() - 1] for c in closed)
+    value, cover = _least_width_cover(g, 0 if cluster else 1, cap=g.n)
     cliques = [[v for v in range(g.n) if mask >> v & 1] for mask in cover]
     return CcwResult(value, OrderedCliqueCover(g, cliques))
 

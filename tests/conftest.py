@@ -7,7 +7,9 @@ permutations, and the scalar parameters over plain subset enumeration.
 They anchor the solvers' expected values.  ``dfs_bandwidth`` and
 ``enumerate_ccw`` are the exception: they keep the position-by-position
 bandwidth DFS and the definition-following partition-plus-quotient
-solver as witness oracles for the ordered-cover search.  Likewise
+solver as witness oracles for the ordered-cover search, and
+``unpruned_ccw`` keeps that search as it was before its unbounded
+cliques had a fit prune and its k loop skipped 0 on non-cluster graphs.  Likewise
 ``scan_insertion`` keeps the position-by-position insertion scan as the
 oracle for the one-pass insertion scoring of ``compose_covers``, and
 ``zip_interleaved_sequence`` keeps the strip lists, enclosing-block
@@ -45,6 +47,7 @@ from ccwidth import (
     sequence_width,
 )
 from ccwidth.generators import _cliques_of_size
+from ccwidth.solvers import _cliques_in_lex_order
 
 T = TypeVar("T")
 
@@ -243,6 +246,51 @@ def enumerate_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             best_cover = candidate
     assert best_value is not None and best_cover is not None
     return best_value, best_cover
+
+
+def unpruned_cover_within(nbrs: list[int], k: int) -> list[int] | None:
+    """First ordered clique cover of width <= k, with no fit prune."""
+    n = len(nbrs)
+    cover: list[int] = []
+    failed: set[int] = set()
+
+    def extend(unplaced: int, window: tuple[int, ...]) -> bool:
+        if not unplaced:
+            return True
+        key = unplaced
+        for nb in window:
+            key = key << n | nb & unplaced
+        if key in failed:
+            return False
+        leaving = 1 if k and len(window) == k else 0
+        need = window[0] & unplaced if leaving else 0
+        for clique, clique_nbrs in _cliques_in_lex_order(nbrs, unplaced, need, n):
+            rest = unplaced & ~clique
+            if k:
+                after = window[leaving:] + (clique_nbrs,)
+            elif clique_nbrs & rest:
+                continue
+            else:
+                after = ()
+            cover.append(clique)
+            if extend(rest, after):
+                return True
+            cover.pop()
+        failed.add(key)
+        return False
+
+    if extend((1 << n) - 1, ()):
+        return cover
+    return None
+
+
+def unpruned_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """ccw and the lex-smallest optimal cover, deciding k = 0, 1, ... unpruned."""
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    k = 0
+    while (cover := unpruned_cover_within(nbrs, k)) is None:
+        k += 1
+    return k, tuple(tuple(v for v in range(g.n) if m >> v & 1) for m in cover)
 
 
 def scan_insertion(

@@ -26,16 +26,22 @@ generator calls that replaced it to the same bytes, exit codes and
 error lines.
 """
 
+import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 import ccwidth.composition
+import ccwidth.experiment
 from ccwidth import (
     ExperimentConfig,
+    OrderedCliqueCover,
     bandwidth_exact,
+    ccw_exact,
     compose_covers,
+    cover_width,
     edge_span_claim_check,
     format_bandwidth_result,
     format_certificate,
@@ -44,9 +50,11 @@ from ccwidth import (
     random_clique_sum_instance,
     random_graph,
     run_experiment,
+    verify_certificate,
 )
 from ccwidth.cli import main
-from conftest import fallback_instance
+from ccwidth.experiment import _row
+from conftest import band_sum_instance, fallback_instance, wide_side_sum
 
 EXPERIMENT_SHA256 = {
     0: "f17237a8f31169307c86110f390c6c201f9268a140e4ed49236a24f534c4bcd0",
@@ -143,6 +151,84 @@ def test_certificate_digest():
         cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
         digest.update(format_certificate(cert).encode())
     assert digest.hexdigest() == CERTIFICATE_SHA256
+
+
+def test_achieved_is_the_cover_width():
+    """``achieved`` from the construction equals the width of the cover built.
+
+    Over the certificate pins, also glued along no shared vertex, the
+    fb-* fallbacks, the width-0 side that vanishes into the wide one, and
+    band sums with short and long covers.
+    """
+    instances = _certificate_pin_instances()
+    instances += [dataclasses.replace(inst, shared={}) for inst in instances[:40]]
+    instances += [fallback_instance(*key) for key in FALLBACK_CERTIFICATES]
+    instances.append(wide_side_sum())
+    instances += [
+        band_sum_instance(random.Random(f"band-miss-{i}"), 3, 9, 1) for i in range(100)
+    ]
+    instances += [
+        band_sum_instance(random.Random(f"long-{w}-{i}"), 8, 25, w)
+        for w in (1, 2)
+        for i in range(25)
+    ]
+    for inst in instances:
+        cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        assert cert.achieved == cover_width(OrderedCliqueCover(cert.graph, cert.cliques))
+
+
+def test_row_matches_public_replay(monkeypatch):
+    """Rows that share compose's interleave equal a replay through the public calls.
+
+    Seeds 0-3, 200 rows each.  Sides of up to 10 vertices against ccw
+    limit 9 give skipped rows, and every seventh instance has its shared
+    map dropped, which gives empty-shared rows.
+    """
+    real = ccwidth.experiment._instance
+    cache = {}
+
+    def instance(cfg, index):
+        if (cfg, index) not in cache:
+            try:
+                inst = real(cfg, index)
+            except ValueError as err:
+                inst = err
+            if index % 7 == 3 and not isinstance(inst, ValueError):
+                inst = dataclasses.replace(inst, shared={})
+            cache[cfg, index] = inst
+        if isinstance(cache[cfg, index], ValueError):
+            raise cache[cfg, index]
+        return cache[cfg, index]
+
+    monkeypatch.setattr(ccwidth.experiment, "_instance", instance)
+    kinds = Counter()
+    for seed in range(4):
+        cfg = ExperimentConfig(count=200, seed=seed, n_hi=10)
+        for index in range(cfg.count):
+            row = _row(cfg, index)
+            try:
+                inst = instance(cfg, index)
+            except ValueError:
+                assert row == [""] * 9 + ["skipped"]
+                kinds["skipped"] += 1
+                continue
+            args = (inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+            cert = compose_covers(*args)
+            check = edge_span_claim_check(*args)
+            claim = "vacuous" if check.vacuous else ("pass" if check.ok else "fail")
+            n = cert.graph.n
+            ccw = str(ccw_exact(cert.graph).value) if n <= cfg.ccw_limit else ""
+            status = "ok" if verify_certificate(cert).ok else "invalid"
+            replay = [inst.g1.n, inst.g2.n, len(inst.shared), cert.w1, cert.w2]
+            replay += [cert.achieved, cert.bound, ccw, claim, status]
+            assert row == [str(x) for x in replay], (seed, index)
+            if not inst.shared:
+                kinds["empty-shared"] += 1
+            elif (cert.w1 == 0) != (cert.w2 == 0):
+                kinds["one-side-zero"] += 1
+            else:
+                kinds["plain"] += 1
+    assert min(kinds[k] for k in ("skipped", "empty-shared", "one-side-zero", "plain")) >= 10
 
 
 def test_interleave_layout_digest():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,8 @@ from conftest import (
     graphs,
     iter_clique_partitions,
     random_graph_corpus,
+    unpruned_ccw,
+    unpruned_cover_within,
 )
 
 
@@ -208,8 +211,70 @@ def test_ccw_matches_partition_enumeration(g):
         assert r.value == brute_ccw(g)
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=6, max_n=12))
+def test_ccw_matches_unpruned_search(g):
+    r = ccw_exact(g, limit=12)
+    assert (r.value, r.witness.as_sorted_tuples()) == unpruned_ccw(g)
+
+
+def test_ccw_decisions_match_unpruned_search_at_every_k():
+    """Both sides of each unbounded decision, also for k above the ccw."""
+    for g in random_graph_corpus("ccw-decide", 200, 6, 11):
+        nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+        for k in range(g.n):
+            assert _ordered_cover_within(nbrs, k, cap=g.n) == unpruned_cover_within(
+                nbrs, k
+            ), (g.edges(), k)
+
+
+class TestClusterGraphs:
+    """ccw = 0 exactly on disjoint unions of cliques, one clique per component."""
+
+    def test_components_in_order_of_least_vertex(self):
+        g = Graph(8, [(0, 3), (0, 5), (3, 5), (1, 6), (4, 7)])
+        r = ccw_exact(g)
+        assert r.value == 0
+        assert r.witness.as_sorted_tuples() == ((0, 3, 5), (1, 6), (2,), (4, 7))
+
+    def test_isolated_vertices(self):
+        r = ccw_exact(Graph(4, [(1, 3)]))
+        assert (r.value, r.witness.as_sorted_tuples()) == (0, ((0,), (1, 3), (2,)))
+        r = ccw_exact(Graph(3, []))
+        assert (r.value, r.witness.as_sorted_tuples()) == (0, ((0,), (1,), (2,)))
+
+    def test_one_vertex(self):
+        r = ccw_exact(Graph(1, []))
+        assert (r.value, r.witness.as_sorted_tuples()) == (0, ((0,),))
+
+    def test_seeded_random_partitions(self):
+        for i in range(50):
+            rng = random.Random(f"cluster-{i}")
+            n = rng.randint(1, 9)
+            label = [rng.randrange(n) for _ in range(n)]
+            g = Graph(
+                n,
+                [(u, v) for u, v in itertools.combinations(range(n), 2) if label[u] == label[v]],
+            )
+            parts = sorted(
+                tuple(v for v in range(n) if label[v] == c) for c in set(label)
+            )
+            r = ccw_exact(g)
+            assert (r.value, r.witness.as_sorted_tuples()) == (0, tuple(parts))
+
+    def test_one_missing_edge_makes_it_positive(self):
+        # K4 minus an edge is connected but not a clique
+        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert ccw_exact(g).value == 1
+
+
 class TestInequalityCorpus:
-    """ccw <= bw, ccw >= ceil(s/2)-1, and bw <= omega*ccw when ccw >= 1."""
+    """ccw <= bw, ccw >= floor(s/2), and bw <= omega*ccw when ccw >= 1.
+
+    floor(s/2) is at least the paper's ceil(s/2) - 1: the s independent
+    neighbors of a star's center lie in the 2 ccw + 1 cliques around the
+    center's own clique, at most one in each.
+    """
 
     def _check(self, g):
         ccw = ccw_exact(g).value
@@ -217,7 +282,7 @@ class TestInequalityCorpus:
         assert ccw <= bw
         if g.edge_count:
             s = star_number(g)
-            assert ccw >= -(-s // 2) - 1
+            assert ccw >= s // 2 >= -(-s // 2) - 1
         if ccw >= 1:
             assert bw <= clique_number(g) * ccw
 
