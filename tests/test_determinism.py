@@ -174,7 +174,8 @@ def test_achieved_is_the_cover_width():
     ]
     for inst in instances:
         cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
-        assert cert.achieved == cover_width(OrderedCliqueCover(cert.graph, cert.cliques))
+        rebuilt = OrderedCliqueCover(cert.graph, cert.cliques)
+        assert cert.achieved == cover_width(rebuilt)
 
 
 def test_row_matches_public_replay(monkeypatch):
@@ -185,20 +186,10 @@ def test_row_matches_public_replay(monkeypatch):
     map dropped, which gives empty-shared rows.
     """
     real = ccwidth.experiment._instance
-    cache = {}
 
     def instance(cfg, index):
-        if (cfg, index) not in cache:
-            try:
-                inst = real(cfg, index)
-            except ValueError as err:
-                inst = err
-            if index % 7 == 3 and not isinstance(inst, ValueError):
-                inst = dataclasses.replace(inst, shared={})
-            cache[cfg, index] = inst
-        if isinstance(cache[cfg, index], ValueError):
-            raise cache[cfg, index]
-        return cache[cfg, index]
+        inst = real(cfg, index)
+        return dataclasses.replace(inst, shared={}) if index % 7 == 3 else inst
 
     monkeypatch.setattr(ccwidth.experiment, "_instance", instance)
     kinds = Counter()
@@ -228,7 +219,8 @@ def test_row_matches_public_replay(monkeypatch):
                 kinds["one-side-zero"] += 1
             else:
                 kinds["plain"] += 1
-    assert min(kinds[k] for k in ("skipped", "empty-shared", "one-side-zero", "plain")) >= 10
+    routes = ("skipped", "empty-shared", "one-side-zero", "plain")
+    assert min(kinds[route] for route in routes) >= 10
 
 
 def test_interleave_layout_digest():

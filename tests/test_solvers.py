@@ -228,44 +228,34 @@ def test_ccw_decisions_match_unpruned_search_at_every_k():
             ), (g.edges(), k)
 
 
-class TestClusterGraphs:
-    """ccw = 0 exactly on disjoint unions of cliques, one clique per component."""
+@pytest.mark.parametrize(
+    "n, edges, cover",
+    [
+        (
+            8,
+            [(0, 3), (0, 5), (3, 5), (1, 6), (4, 7)],
+            ((0, 3, 5), (1, 6), (2,), (4, 7)),
+        ),
+        (4, [(1, 3)], ((0,), (1, 3), (2,))),
+        (3, [], ((0,), (1,), (2,))),
+        (1, [], ((0,),)),
+    ],
+)
+def test_cluster_witness_lists_components_by_least_vertex(n, edges, cover):
+    r = ccw_exact(Graph(n, edges))
+    assert (r.value, r.witness.as_sorted_tuples()) == (0, cover)
 
-    def test_components_in_order_of_least_vertex(self):
-        g = Graph(8, [(0, 3), (0, 5), (3, 5), (1, 6), (4, 7)])
+
+def test_cluster_witnesses_of_seeded_partitions():
+    for i in range(50):
+        rng = random.Random(f"cluster-{i}")
+        n = rng.randint(1, 9)
+        label = [rng.randrange(n) for _ in range(n)]
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph(n, [(u, v) for u, v in pairs if label[u] == label[v]])
+        parts = sorted(tuple(v for v in range(n) if label[v] == c) for c in set(label))
         r = ccw_exact(g)
-        assert r.value == 0
-        assert r.witness.as_sorted_tuples() == ((0, 3, 5), (1, 6), (2,), (4, 7))
-
-    def test_isolated_vertices(self):
-        r = ccw_exact(Graph(4, [(1, 3)]))
-        assert (r.value, r.witness.as_sorted_tuples()) == (0, ((0,), (1, 3), (2,)))
-        r = ccw_exact(Graph(3, []))
-        assert (r.value, r.witness.as_sorted_tuples()) == (0, ((0,), (1,), (2,)))
-
-    def test_one_vertex(self):
-        r = ccw_exact(Graph(1, []))
-        assert (r.value, r.witness.as_sorted_tuples()) == (0, ((0,),))
-
-    def test_seeded_random_partitions(self):
-        for i in range(50):
-            rng = random.Random(f"cluster-{i}")
-            n = rng.randint(1, 9)
-            label = [rng.randrange(n) for _ in range(n)]
-            g = Graph(
-                n,
-                [(u, v) for u, v in itertools.combinations(range(n), 2) if label[u] == label[v]],
-            )
-            parts = sorted(
-                tuple(v for v in range(n) if label[v] == c) for c in set(label)
-            )
-            r = ccw_exact(g)
-            assert (r.value, r.witness.as_sorted_tuples()) == (0, tuple(parts))
-
-    def test_one_missing_edge_makes_it_positive(self):
-        # K4 minus an edge is connected but not a clique
-        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert ccw_exact(g).value == 1
+        assert (r.value, r.witness.as_sorted_tuples()) == (0, tuple(parts))
 
 
 class TestInequalityCorpus:
