@@ -102,22 +102,6 @@ class InterleaveLayout:
     block_length: int
 
 
-def _strip_keys(size: int, w: int, anchor: int) -> list[tuple[int, int]]:
-    """(strip, offset) of each of ``size`` cliques, by clique index.
-
-    Strip 0 is the block of ``w`` cliques starting at ``anchor``; strips
-    1, 2, ... follow it and strips -1, -2, ... precede it, each of ``w``
-    cliques except the outermost on a side, which holds what is left.
-    The offset is the clique's position inside its strip, so a short
-    outermost left strip counts from clique 0.
-    """
-    keys = []
-    for i in range(size):
-        strip = (i - anchor) // w
-        keys.append((strip, i - max(anchor + strip * w, 0)))
-    return keys
-
-
 def interleaved_sequence(
     c1: OrderedCliqueCover,
     c2: OrderedCliqueCover,
@@ -140,19 +124,21 @@ def interleaved_sequence(
     if not shared:
         raise ValueError("interleaved sequence requires a nonempty shared set")
     entries = []
+    block_start = block_length = 0
     for source, c, vs in ((1, c1, shared.keys()), (2, c2, shared.values())):
         if not is_clique(c.graph, vs):
             raise ValueError(f"shared set does not induce a clique on side {source}")
         w = max(cover_width(c), 1)
-        anchor = min(min(map(c.clique_index, vs)), c.size - w)
-        for i, (strip, offset) in enumerate(_strip_keys(c.size, w, anchor)):
+        anchor = min(min(c._index_of[v] for v in vs), c.size - w)
+        for i in range(c.size):
+            strip = (i - anchor) // w
             # -source: side 2 sorts before side 1 at equal (strip, offset)
-            entries.append((strip, offset, -source, source, i))
+            entries.append((strip, i - max(anchor + strip * w, 0), -source, source, i))
+        block_start += anchor  # cliques 0..anchor-1 precede the block
+        block_length += w
     entries.sort()
     return InterleaveLayout(
-        tuple((source, i) for *_, source, i in entries),
-        sum(strip < 0 for strip, *_ in entries),
-        sum(strip == 0 for strip, *_ in entries),
+        tuple((source, i) for *_, source, i in entries), block_start, block_length
     )
 
 
@@ -505,23 +491,26 @@ def _span_check(
         return SpanCheck(ok=True, max_span=0, limit=0, vacuous=True)
     if layout is None:
         layout = interleaved_sequence(c1, c2, shared)
-    pos = {entry: p for p, entry in enumerate(layout.seq)}
     beta1, beta2 = max(w1, 1), max(w2, 1)
     limit = beta1 + beta2 + min(beta1, beta2)
-    max_span = 0
-    worst: tuple[int, int, int, int] | None = None
-    for source, g, c in ((1, g1, c1), (2, g2, c2)):
-        for u, v in g.edges():
-            span = abs(pos[source, c._index_of[u]] - pos[source, c._index_of[v]])
-            if span > max_span:
-                max_span = span
-                worst = (source, u, v, span)
-    ok = max_span <= limit
+    at = ([0] * c1.size, [0] * c2.size)  # each clique's interleave position
+    for p, (source, i) in enumerate(layout.seq):
+        at[source - 1][i] = p
+    sides = [
+        (source, g, [at[source - 1][i] for i in c._index_of])
+        for source, g, c in ((1, g1, c1), (2, g2, c2))
+    ]
+    max_span = max(index_width(g, position) for _, g, position in sides)
+    if max_span <= limit:
+        return SpanCheck(ok=True, max_span=max_span, limit=limit)
+    worst = next(
+        (source, u, v, max_span)
+        for source, g, position in sides
+        for u, v in g.edges()
+        if abs(position[u] - position[v]) == max_span
+    )
     return SpanCheck(
-        ok=ok,
-        max_span=max_span,
-        limit=limit,
-        counterexample=None if ok else worst,
+        ok=False, max_span=max_span, limit=limit, counterexample=worst
     )
 
 

@@ -1,9 +1,11 @@
 """Immutable undirected simple graphs on vertices 0..n-1.
 
-Adjacency is kept both as per-vertex frozensets (the public view) and as
-per-vertex bitmasks, which the exact solvers use for fast subset tests.
-Graphs never change after construction, so they are safe to share between
-threads and to use as dict keys.
+Adjacency is kept as per-vertex bitmasks (bit w of ``_bits[v]`` is set
+iff vw is an edge), which construction, gluing, edge listing, clique
+tests and the exact solvers all work on, and as per-vertex frozensets
+derived from them once (the public view).  Graphs never change after
+construction, so they are safe to share between threads and to use as
+dict keys.
 
 Also provides the two NP-hard scalar parameters needed by the width
 inequalities, clique number and induced star number, both computed
@@ -18,6 +20,16 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
+def _members(mask: int) -> list[int]:
+    """The set bits of a nonnegative ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class Graph:
     """Undirected simple graph: no loops, no parallel edges, vertices 0..n-1."""
 
@@ -26,18 +38,31 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
+        bits = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._bits: tuple[int, ...] = tuple(
-            sum(1 << w for w in s) for s in self._adj
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        self._set_bits(bits)
+
+    @classmethod
+    def _from_bits(cls, bits: Sequence[int]) -> Graph:
+        """The graph on len(bits) vertices with neighborhood masks ``bits``.
+
+        Unchecked: the masks must be symmetric and loop-free.
+        """
+        g = cls.__new__(cls)
+        g._set_bits(bits)
+        return g
+
+    def _set_bits(self, bits: Sequence[int]) -> None:
+        self.n = len(bits)
+        self._bits: tuple[int, ...] = tuple(bits)
+        self._adj: tuple[frozenset[int], ...] = tuple(
+            map(frozenset, map(_members, bits))
         )
 
     @property
@@ -62,8 +87,15 @@ class Graph:
         return v in self._adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted lexicographically."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        """All edges as (u, v) with u < v, sorted lexicographically.
+
+        Walks each mask above u from its lowest bit up, so no sort is needed.
+        """
+        return [
+            (u, v)
+            for u, bits in enumerate(self._bits)
+            for v in _members(bits & -(2 << u))  # the neighbors above u
+        ]
 
     @property
     def edge_count(self) -> int:
@@ -76,10 +108,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash(self._bits)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -88,16 +120,19 @@ class Graph:
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff every two distinct vertices of the set are adjacent.
 
-    The empty set and singletons count as cliques.
+    The empty set and singletons count as cliques.  Raises for the
+    least vertex out of range, if any.
     """
-    vs = sorted(set(vertices))
+    vs = set(vertices)
+    if vs and (min(vs) < 0 or max(vs) >= g.n):
+        g._check_vertex(min(v for v in vs if not 0 <= v < g.n))
+    mask = 0
     for v in vs:
-        g._check_vertex(v)
-    for i, u in enumerate(vs):
-        ubits = g.neighbor_bits(u)
-        for v in vs[i + 1 :]:
-            if not (ubits >> v) & 1:
-                return False
+        mask |= 1 << v
+    bits = g._bits
+    for v in vs:
+        if mask & ~bits[v] != 1 << v:  # v misses a vertex of the set
+            return False
     return True
 
 
@@ -142,14 +177,19 @@ def clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
     ``shared`` maps g1 vertices onto the g2 vertices they are identified
     with, as ``check_shared_clique`` requires; an empty map degenerates
     to disjoint union.  The result keeps g1's vertex numbering and
-    appends unshared g2 vertices in g2-index order.
+    appends unshared g2 vertices in g2-index order; its masks are g1's
+    with g2's, translated into that numbering, ORed onto them.
     """
     check_shared_clique(g1, g2, shared)
     mapping = clique_sum_map(g1, g2, shared)
-    n = g1.n + g2.n - len(shared)
-    edges = list(g1.edges())
-    edges.extend((mapping[u], mapping[v]) for u, v in g2.edges())
-    return Graph(n, edges)
+    bit = [1 << mapping[v2] for v2 in range(g2.n)]
+    bits = [*g1._bits, *[0] * (g2.n - len(shared))]
+    for v2, nbrs in enumerate(g2._adj):
+        translated = 0
+        for w in nbrs:
+            translated |= bit[w]
+        bits[mapping[v2]] |= translated  # the shared clique's edges are g1's already
+    return Graph._from_bits(bits)
 
 
 def _max_clique(nbrs: Sequence[int], cand: int) -> int:
@@ -201,33 +241,40 @@ class LineReader:
 
     Every text format of the package is read as a sequence of blocks
     through this cursor, so blank lines, header counts and early ends
-    are handled in one place.  Errors are ``ValueError`` naming the
-    input and the offending line; lines after the last block read are
-    ignored.
+    are handled in one place.  Blank lines are dropped once, at
+    construction; only an error counts them back in, to name its
+    physical line.  Errors are ``ValueError`` naming the input and the
+    offending line; lines after the last block read are ignored.
     """
 
-    __slots__ = ("name", "_lines", "_pos")
+    __slots__ = ("name", "_physical", "_lines", "_pos")
 
     def __init__(self, text: str, name: str):
         self.name = name
-        self._lines = text.splitlines()
-        self._pos = 0  # index of the next line; the last line read is _pos - 1
+        self._physical = text.splitlines()
+        self._lines = [line for line in self._physical if line.strip()]
+        self._pos = 0  # index of the next kept line; the last one read is _pos - 1
+
+    def _early(self, wanted: str) -> ValueError:
+        return ValueError(
+            f"{self.name} ends early: expected {wanted} "
+            f"after line {len(self._physical)}"
+        )
 
     def _next(self, wanted: str) -> str:
-        lines, pos = self._lines, self._pos
-        while pos < len(lines) and not lines[pos].strip():
-            pos += 1
-        if pos == len(lines):
-            raise ValueError(
-                f"{self.name} ends early: expected {wanted} after line {pos}"
-            )
+        pos = self._pos
+        if pos == len(self._lines):
+            raise self._early(wanted)
         self._pos = pos + 1
-        return lines[pos]
+        return self._lines[pos]
 
-    def error(self, problem: str) -> ValueError:
-        """A ``ValueError`` about the line read last."""
-        line = self._lines[self._pos - 1]
-        return ValueError(f"{self.name} line {self._pos}: {problem}, got {line!r}")
+    def error(self, problem: str, back: int = 1) -> ValueError:
+        """A ``ValueError`` about the line read ``back`` lines ago (1: the last)."""
+        pos = self._pos - back
+        numbers = [i for i, line in enumerate(self._physical, 1) if line.strip()]
+        return ValueError(
+            f"{self.name} line {numbers[pos]}: {problem}, got {self._lines[pos]!r}"
+        )
 
     def expect(self, keyword: str) -> int:
         """Read a ``keyword N`` line and return N, which must be >= 0."""
@@ -253,6 +300,27 @@ class LineReader:
             raise self.error(f"expected {count} integers")
         return values
 
+    def rows(self, count: int, width: int | None = None) -> list[list[int]]:
+        """Read the next ``count`` lines as :meth:`ints` would, in one slice.
+
+        Only when the slice fails are its lines read again one by one,
+        which raises about the first bad line, or else the early end.
+        """
+        start = self._pos
+        lines = self._lines[start : start + count]
+        try:
+            rows = [list(map(int, line.split())) for line in lines]
+        except ValueError:
+            rows = []
+        if len(rows) == count and (
+            width is None or all(len(row) == width for row in rows)
+        ):
+            self._pos = start + count
+            return rows
+        for _ in lines:
+            self.ints(width)
+        raise self._early("a line of integers")
+
 
 def format_edge_list(g: Graph) -> str:
     """Edge-list text format: "n m" then one "u v" line per edge, sorted."""
@@ -262,9 +330,9 @@ def format_edge_list(g: Graph) -> str:
 
 
 # The most vertices an edge-list header may declare.  ``Graph(n)`` builds
-# n adjacency sets before any edge is read, so the header alone must not
-# be able to ask for an unbounded allocation; the exact solvers stop far
-# below this size.
+# n neighborhood masks and n neighbor sets however few edges follow, so
+# the header alone must not be able to ask for an unbounded allocation;
+# the exact solvers stop far below this size.
 MAX_VERTICES = 10_000
 
 
@@ -275,7 +343,7 @@ def read_edge_list(r: LineReader) -> Graph:
         raise r.error("counts must be >= 0")
     if n > MAX_VERTICES:
         raise r.error(f"at most {MAX_VERTICES} vertices allowed")
-    return Graph(n, [r.ints(2) for _ in range(m)])
+    return Graph(n, r.rows(m, 2))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, LineReader
+from .graph import Graph, LineReader, _members
 
 
 class LinearOrdering:
@@ -69,35 +69,47 @@ def validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck:
     """Check that ``cliques`` is an ordered partition of V(g) into cliques.
 
     Never raises; returns a falsy :class:`CoverCheck` carrying the first
-    problem found (out-of-range vertex, empty class, duplicate vertex,
-    uncovered vertex, or a non-clique class).
+    problem found: scanning the classes in order and each class's
+    vertices in increasing order, an out-of-range vertex, an empty
+    class or a duplicate vertex; then the least uncovered vertex; then
+    the first class, in order, that is not a clique, with its least
+    non-adjacent pair.  Each class and the covered set are bitmasks,
+    so a class is checked against one neighborhood mask per vertex.
     """
-    seen: set[int] = set()
-    materialized: list[list[int]] = []
+    n = g.n
+    seen = 0
+    masks = []
     for pos, cl in enumerate(cliques):
-        vs = sorted(set(cl))
-        if not vs:
+        mask = 0
+        outside = None  # least vertex out of range
+        for v in cl:
+            if 0 <= v < n:
+                mask |= 1 << v
+            elif outside is None or v < outside:
+                outside = v
+        dup = mask & seen
+        # negative vertices sort before every in-range one, the rest after
+        if outside is not None and (outside < 0 or not dup):
+            return CoverCheck(False, f"vertex {outside} out of range for n={n}")
+        if not mask:
             return CoverCheck(False, f"empty clique at position {pos}")
-        for v in vs:
-            if not 0 <= v < g.n:
-                return CoverCheck(False, f"vertex {v} out of range for n={g.n}")
-            if v in seen:
-                return CoverCheck(False, f"duplicate vertex {v}")
-            seen.add(v)
-        materialized.append(vs)
-    for v in range(g.n):
-        if v not in seen:
-            return CoverCheck(False, f"vertex {v} uncovered")
-    for pos, vs in enumerate(materialized):
-        for i, u in enumerate(vs):
-            ubits = g.neighbor_bits(u)
-            for v in vs[i + 1 :]:
-                if not (ubits >> v) & 1:
-                    return CoverCheck(
-                        False,
-                        f"class at position {pos} is not a clique: "
-                        f"{u} and {v} are not adjacent",
-                    )
+        if dup:
+            return CoverCheck(False, f"duplicate vertex {_members(dup)[0]}")
+        seen |= mask
+        masks.append(mask)
+    uncovered = (1 << n) - 1 & ~seen
+    if uncovered:
+        return CoverCheck(False, f"vertex {_members(uncovered)[0]} uncovered")
+    bits = g._bits
+    for pos, mask in enumerate(masks):
+        for u in _members(mask):
+            missing = mask & ~bits[u] & -(2 << u)  # the vertices above u it misses
+            if missing:
+                return CoverCheck(
+                    False,
+                    f"class at position {pos} is not a clique: "
+                    f"{u} and {_members(missing)[0]} are not adjacent",
+                )
     return CoverCheck(True)
 
 
@@ -190,12 +202,16 @@ def cover_width(c: OrderedCliqueCover) -> int:
 def cover_graph(c: OrderedCliqueCover) -> Graph:
     """Quotient graph: one vertex per clique, adjacent iff a cross edge exists."""
     idx = c._index_of
-    edges = set()
-    for u, v in c.graph.edges():
-        i, j = idx[u], idx[v]
-        if i != j:
-            edges.add((min(i, j), max(i, j)))
-    return Graph(c.size, sorted(edges))
+    nbrs = [0] * c.size
+    for v, bits in enumerate(c.graph._bits):
+        nbrs[idx[v]] |= bits
+    quotient = []
+    for i, bits in enumerate(nbrs):
+        mask = 0
+        for v in _members(bits):
+            mask |= 1 << idx[v]
+        quotient.append(mask & ~(1 << i))
+    return Graph._from_bits(quotient)
 
 
 def format_cover(cliques: Sequence[Iterable[int]]) -> str:
@@ -207,8 +223,17 @@ def format_cover(cliques: Sequence[Iterable[int]]) -> str:
 
 
 def read_cover(r: LineReader) -> list[list[int]]:
-    """Cover block: ``cover N``, then N clique rows (no graph validation)."""
-    return [r.ints() for _ in range(r.expect("cover"))]
+    """Cover block: ``cover N``, then N clique rows (no graph validation).
+
+    A row that lists a vertex twice is an error: it could not be written
+    back as it was read.
+    """
+    rows = r.rows(r.expect("cover"))
+    for i, row in enumerate(rows):
+        if len(set(row)) < len(row):
+            twice = next(v for j, v in enumerate(row) if v in row[:j])
+            raise r.error(f"vertex {twice} listed twice", len(rows) - i)
+    return rows
 
 
 def parse_cover(text: str, graph: Graph) -> OrderedCliqueCover:

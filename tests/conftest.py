@@ -14,7 +14,13 @@ cliques had a fit prune and its k loop skipped 0 on non-cluster graphs.  Likewis
 oracle for the one-pass insertion scoring of ``compose_covers``, and
 ``zip_interleaved_sequence`` keeps the strip lists, enclosing-block
 search and zip-and-alternate pass as the oracle for the strip-key sort
-of ``interleaved_sequence``.
+of ``interleaved_sequence``, whose key formula ``strip_keys`` keeps with
+its unit tests.  The set-based graph layer the bitmask one replaced
+stays as oracles too: ``set_adjacency`` builds adjacency sets from an
+edge list, ``sorted_edges`` lists edges by sorting them,
+``edge_list_clique_sum`` glues two graphs by re-listing their edges,
+and ``set_validate_cover`` checks a cover pair by pair with the same
+reason strings.
 ``iter_clique_partitions`` enumerates every clique partition in
 canonical order, for ``enumerate_ccw`` and for the tests that walk all
 covers of a graph.  The ``scrambled_layout`` fixture swaps in an
@@ -39,8 +45,10 @@ from hypothesis import strategies as st
 import ccwidth.composition
 from ccwidth import (
     CliqueSumInstance,
+    CoverCheck,
     Graph,
     OrderedCliqueCover,
+    clique_sum_map,
     cover_width,
     is_clique,
     random_clique_sum_instance,
@@ -318,6 +326,78 @@ def scan_insertion(
             best_final = final
     assert best_key is not None and best_final is not None
     return best_key[0], best_final
+
+
+def set_adjacency(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
+    """(neighbor sets, neighborhood masks) built set by set from an edge list."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    sets = tuple(frozenset(s) for s in adj)
+    return sets, tuple(sum(1 << w for w in s) for s in sets)
+
+
+def sorted_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, by sorting each neighbor set."""
+    return [(u, v) for u in range(g.n) for v in sorted(g.adjacency[u]) if u < v]
+
+
+def edge_list_clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
+    """The clique sum rebuilt from both edge lists, g2's renumbered."""
+    mapping = clique_sum_map(g1, g2, shared)
+    edges = sorted_edges(g1)
+    edges.extend((mapping[u], mapping[v]) for u, v in sorted_edges(g2))
+    return Graph(g1.n + g2.n - len(shared), edges)
+
+
+def set_validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck:
+    """``validate_cover`` on vertex sets, pair by pair, same reasons."""
+    seen: set[int] = set()
+    materialized: list[list[int]] = []
+    for pos, cl in enumerate(cliques):
+        vs = sorted(set(cl))
+        if not vs:
+            return CoverCheck(False, f"empty clique at position {pos}")
+        for v in vs:
+            if not 0 <= v < g.n:
+                return CoverCheck(False, f"vertex {v} out of range for n={g.n}")
+            if v in seen:
+                return CoverCheck(False, f"duplicate vertex {v}")
+            seen.add(v)
+        materialized.append(vs)
+    for v in range(g.n):
+        if v not in seen:
+            return CoverCheck(False, f"vertex {v} uncovered")
+    for pos, vs in enumerate(materialized):
+        for i, u in enumerate(vs):
+            for v in vs[i + 1 :]:
+                if v not in g.adjacency[u]:
+                    return CoverCheck(
+                        False,
+                        f"class at position {pos} is not a clique: "
+                        f"{u} and {v} are not adjacent",
+                    )
+    return CoverCheck(True)
+
+
+def strip_keys(size: int, w: int, anchor: int) -> list[tuple[int, int]]:
+    """(strip, offset) of each of ``size`` cliques, by clique index.
+
+    Strip 0 is the block of ``w`` cliques starting at ``anchor``; strips
+    1, 2, ... follow it and strips -1, -2, ... precede it, each of ``w``
+    cliques except the outermost on a side, which holds what is left.
+    The offset is the clique's position inside its strip, so a short
+    outermost left strip counts from clique 0.  ``interleaved_sequence``
+    computes the same keys inline.
+    """
+    keys = []
+    for i in range(size):
+        strip = (i - anchor) // w
+        keys.append((strip, i - max(anchor + strip * w, 0)))
+    return keys
 
 
 def block_size(c: OrderedCliqueCover) -> int:

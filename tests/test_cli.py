@@ -286,6 +286,27 @@ class TestComposeAndVerify:
         assert "side-1 vertex 2 is already shared, got '2 1'" in err
         assert len(err.splitlines()) == 1
 
+    def test_repeated_cover_vertex_is_one_error_line(self, tmp_path, capsys):
+        # a cover row listing a vertex twice would not round-trip byte-exactly
+        code, out, _ = run_cli(["gen", "--kind", "path-sum", "--t", "1"], capsys=capsys)
+        assert code == 0
+        bundle = tmp_path / "inst.txt"
+        bundle.write_text(out.replace("cover 3\n0\n", "cover 3\n0 0\n", 1))
+        code, out, err = run_cli(["compose", "--instance", str(bundle)], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: instance bundle line 5: vertex 0 listed twice, got '0 0'\n"
+        )
+        inst = path_sum_instance(1)
+        cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        text = format_certificate(cert)
+        assert "cover 5\n3\n" in text
+        cert_file = tmp_path / "cert.txt"
+        cert_file.write_text(text.replace("cover 5\n3\n", "cover 5\n3 3\n"))
+        code, out, err = run_cli(["verify", str(cert_file)], capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: certificate line 7: vertex 3 listed twice, got '3 3'\n"
+
     def test_compose_check_claim_with_empty_shared_set(
         self, tmp_path, capsys, monkeypatch
     ):

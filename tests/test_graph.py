@@ -18,7 +18,15 @@ from ccwidth import (
     star_graph,
     star_number,
 )
-from conftest import brute_clique_number, brute_star_number, graphs, random_graph_corpus
+from conftest import (
+    brute_clique_number,
+    brute_star_number,
+    edge_list_clique_sum,
+    graphs,
+    random_graph_corpus,
+    set_adjacency,
+    sorted_edges,
+)
 
 
 class TestBuildGraph:
@@ -72,6 +80,12 @@ class TestIsClique:
         with pytest.raises(ValueError):
             is_clique(path_graph(3), {0, 5})
 
+    def test_least_invalid_vertex_is_named(self):
+        with pytest.raises(ValueError, match="^vertex -1 out of range for n=3$"):
+            is_clique(path_graph(3), [7, 0, -1])
+        with pytest.raises(ValueError, match="^vertex 4 out of range for n=3$"):
+            is_clique(path_graph(3), [7, 0, 4])
+
     @settings(max_examples=200)
     @given(graphs(), st.data())
     def test_matches_pairwise_check(self, g, data):
@@ -82,6 +96,61 @@ class TestIsClique:
             g.has_edge(u, v) for u, v in itertools.combinations(sorted(members), 2)
         )
         assert is_clique(g, members) == expected
+
+
+@st.composite
+def edge_lists(draw, max_n=10):
+    """(n, edges): edges with repeats and both orientations, as a reader may list."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else []
+    return n, edges
+
+
+def _brute_cliques(g, k):
+    return [
+        q
+        for q in itertools.combinations(range(g.n), k)
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(q, 2))
+    ]
+
+
+class TestBitmaskCore:
+    """The bitmask graph layer against the set-based one it replaced."""
+
+    @staticmethod
+    def _assert_same(g, h):
+        assert g.n == h.n
+        assert g.adjacency == h.adjacency
+        assert g._bits == h._bits
+        assert g.edges() == h.edges()
+        assert g == h and hash(g) == hash(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_bits_build_matches_edge_list_build(self, case):
+        n, edges = case
+        g = Graph(n, edges)
+        sets, bits = set_adjacency(n, edges)
+        assert (g.adjacency, g._bits) == (sets, bits)
+        assert g.edges() == sorted_edges(g) == sorted({tuple(sorted(e)) for e in edges})
+        assert g.edge_count == len(g.edges())
+        self._assert_same(g, Graph._from_bits(bits))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=8), graphs(max_n=8), st.data())
+    def test_clique_sum_matches_edge_list_oracle(self, g1, g2, data):
+        sizes = [
+            k
+            for k in range(min(g1.n, g2.n) + 1)
+            if _brute_cliques(g1, k) and _brute_cliques(g2, k)
+        ]
+        k = data.draw(st.sampled_from(sizes))
+        side1 = data.draw(st.sampled_from(_brute_cliques(g1, k)))
+        side2 = data.draw(st.sampled_from(_brute_cliques(g2, k)))
+        shared = dict(zip(side1, data.draw(st.permutations(side2))))
+        oracle = edge_list_clique_sum(g1, g2, shared)
+        self._assert_same(clique_sum(g1, g2, shared), oracle)
 
 
 class TestCliqueSum:

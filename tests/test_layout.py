@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccwidth import (
@@ -20,7 +20,13 @@ from ccwidth import (
     validate_cover,
 )
 from ccwidth.layout import index_width
-from conftest import iter_clique_partitions, random_graph_corpus
+from conftest import (
+    graphs,
+    iter_clique_partitions,
+    quotient_edges,
+    random_graph_corpus,
+    set_validate_cover,
+)
 
 
 class TestLinearOrdering:
@@ -48,6 +54,35 @@ class TestOrderingWidth:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             ordering_width(path_graph(3), [0, 1])
+
+
+@st.composite
+def mutated_covers(draw):
+    """A graph and a vertex partition (cliques or not) after up to four edits.
+
+    The edits insert an empty class, an out-of-range vertex, a vertex
+    already placed, drop a vertex, or merge two classes, so every reason
+    ``validate_cover`` can give comes up.
+    """
+    g = draw(graphs(max_n=7))
+    labels = draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
+    cliques = [[v for v in range(g.n) if labels[v] == k] for k in range(g.n + 1)]
+    cliques = draw(st.permutations([cl for cl in cliques if cl]))
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["empty", "outside", "again", "drop", "merge"]))
+        if edit == "empty" or not cliques:
+            cliques.insert(draw(st.integers(0, len(cliques))), [])
+            continue
+        i = draw(st.integers(0, len(cliques) - 1))
+        if edit == "outside":
+            cliques[i].append(draw(st.sampled_from([-2, -1, g.n, g.n + 3])))
+        elif edit == "again" and g.n:
+            cliques[i].append(draw(st.integers(0, g.n - 1)))
+        elif edit == "drop" and cliques[i]:
+            del cliques[i][draw(st.integers(0, len(cliques[i]) - 1))]
+        elif edit == "merge" and len(cliques) > 1:
+            cliques[i - 1] += cliques.pop(i)
+    return g, cliques
 
 
 class TestCoverValidation:
@@ -82,6 +117,20 @@ class TestCoverValidation:
     def test_constructor_rejects_invalid(self):
         with pytest.raises(ValueError, match="not a clique"):
             OrderedCliqueCover(path_graph(3), [{0, 2}, {1}])
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mutated_covers())
+    @example(case=(path_graph(3), [[0, 1], [2]]))
+    @example(case=(path_graph(3), [[0, 1], [], [2]]))
+    @example(case=(path_graph(3), [[0, 1], [2, 5]]))
+    @example(case=(path_graph(3), [[0], [-1, 0, 5]]))  # -1 sorts before the duplicate
+    @example(case=(path_graph(3), [[0], [5, 0], [1]]))  # the duplicate before 5
+    @example(case=(path_graph(3), [[0, 1, 1]]))
+    @example(case=(path_graph(4), [[1, 0], [3, 2, 1, 1]]))
+    @example(case=(path_graph(4), [[0, 1], [2], [0, 2, 3]]))
+    def test_same_first_problem_as_set_oracle(self, case):
+        g, cliques = case
+        assert validate_cover(g, cliques) == set_validate_cover(g, cliques)
 
 
 class TestCoverWidth:
@@ -148,6 +197,15 @@ class TestCoverGraph:
             c = OrderedCliqueCover(g, parts)
             q = cover_graph(c)
             assert ordering_width(q, LinearOrdering(range(q.n))) == cover_width(c)
+
+
+    def test_matches_quotient_oracle(self):
+        rng = random.Random("quotient-oracle")
+        for g in random_graph_corpus("quotient-oracle", 60, 1, 8):
+            parts = _random_partition(rng, g)
+            q = cover_graph(OrderedCliqueCover(g, parts))
+            assert q == Graph(len(parts), quotient_edges(g, parts))
+            assert q.edges() == quotient_edges(g, parts)
 
 
 class TestBlockSeparation:

@@ -4,10 +4,14 @@ Valid files of every format are truncated or token-mutated, and each
 reader must return an object or raise ``ValueError``; any other
 exception would reach the command line as a traceback.  Mutated
 integers are small or at least the edge-list vertex cap, which the
-reader must refuse before ``Graph(n)`` allocates n adjacency sets.
+reader must refuse before ``Graph(n)`` allocates n neighborhood masks.
+Blocks of rows are read as one slice, so the tests below also pin that
+an error still names its physical line and that a huge row count
+allocates nothing in proportion to it.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -181,3 +185,83 @@ def test_verify_rejects_bare_cover_header(tmp_path, capsys):
     assert err == (
         f"error: certificate line {cover_at + 1}: expected 'cover N', got 'cover'\n"
     )
+
+
+class TestSliceReads:
+    """Edge blocks and cover rows are parsed as one slice of lines."""
+
+    def test_bad_edge_row_after_blank_lines(self):
+        message = r"^edge list line 6: expected integers, got '1 x'$"
+        with pytest.raises(ValueError, match=message):
+            parse_edge_list("3 3\n0 1\n\n  \n\n1 x\n0 2\n")
+
+    def test_bad_cover_row_after_blank_lines(self):
+        message = r"^cover line 5: expected integers, got '2 y'$"
+        with pytest.raises(ValueError, match=message):
+            parse_cover("cover 2\n\n0 1\n\n2 y\n", Graph(3))
+
+    def test_bad_certificate_cover_row_after_blank_lines(self):
+        text = "2 1\n0 1\n\ncover 1\n\n\n0 z\nw1 0\n"
+        message = r"^certificate line 7: expected integers, got '0 z'$"
+        with pytest.raises(ValueError, match=message):
+            parse_certificate(text)
+
+    @pytest.mark.parametrize(
+        "read, text, message",
+        [
+            (
+                parse_edge_list,
+                "3 1000000000000\n0 1\n\n1 2\n\n",
+                "edge list ends early: expected a line of integers after line 5",
+            ),
+            (
+                lambda t: parse_cover(t, Graph(2)),
+                "cover 1000000000000\n0\n1\n",
+                "cover ends early: expected a line of integers after line 3",
+            ),
+        ],
+        ids=["edge-list", "cover"],
+    )
+    def test_huge_count_ends_early_without_allocating(self, read, text, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 100_000  # bytes: nothing sized by the 10**12 count
+
+
+class TestRepeatedCoverVertex:
+    """A cover row listing a vertex twice could not round-trip: an error."""
+
+    def test_cover(self):
+        message = r"^cover line 2: vertex 0 listed twice, got '0 1 0'$"
+        with pytest.raises(ValueError, match=message):
+            parse_cover("cover 1\n0 1 0\n", Graph(2))
+
+    def test_first_repeat_is_named(self):
+        message = r"^cover line 4: vertex 2 listed twice, got '3 2 2 3'$"
+        with pytest.raises(ValueError, match=message):
+            parse_cover("cover 2\n0 1\n\n3 2 2 3\n", Graph(4))
+
+    def test_certificate(self):
+        inst = path_sum_instance(1)
+        cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        lines = format_certificate(cert).splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("cover ")) + 1
+        assert lines[at] == "3"
+        lines[at] = "3 3"
+        message = rf"^certificate line {at + 1}: vertex 3 listed twice, got '3 3'$"
+        with pytest.raises(ValueError, match=message):
+            parse_certificate("\n".join(lines) + "\n")
+
+    def test_instance_bundle(self):
+        text = _format_instance(path_sum_instance(1)).replace(
+            "cover 3\n0\n", "cover 3\n0 0\n", 1
+        )
+        message = r"^instance bundle line 5: vertex 0 listed twice, got '0 0'$"
+        with pytest.raises(ValueError, match=message):
+            _parse_instance(text)

@@ -1,11 +1,11 @@
 """Strip keys, and the strip lists they replaced, kept as an oracle.
 
-``_strip_keys`` gives each clique of a cover its (strip, offset) around
-an anchor block, and ``interleaved_sequence`` sorts the cliques of both
-covers by those keys.  The strip lists, the enclosing-block search and
-the zip-and-alternate pass that built the same sequence before live on
-in ``conftest`` as the oracle of the differential test here, and keep
-their own unit tests.
+``conftest.strip_keys`` gives each clique of a cover its (strip, offset)
+around an anchor block, and ``interleaved_sequence`` computes the same
+keys inline and sorts the cliques of both covers by them.  The strip
+lists, the enclosing-block search and the zip-and-alternate pass that
+built the same sequence before live on in ``conftest`` as the oracle of
+the differential test here, and keep their own unit tests.
 """
 
 import random
@@ -24,13 +24,13 @@ from ccwidth import (
     is_clique,
     path_graph,
 )
-from ccwidth.composition import _strip_keys
 from conftest import (
     block_size,
     graphs,
     iter_clique_partitions,
     locate_enclosing_block,
     random_graph_corpus,
+    strip_keys,
     strips_around,
     zip_interleaved_sequence,
 )
@@ -55,18 +55,18 @@ class TestPartitionAroundBlock:
     """The strip keys around a block: strip 0 is the block, then outward."""
 
     def test_seven_cliques_block_at_two(self):
-        assert _strip_keys(7, 2, 2) == [
+        assert strip_keys(7, 2, 2) == [
             (-1, 0), (-1, 1), (0, 0), (0, 1), (1, 0), (1, 1), (2, 0)
         ]
 
     def test_five_cliques_block_at_one(self):
-        assert _strip_keys(5, 2, 1) == [(-1, 0), (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert strip_keys(5, 2, 1) == [(-1, 0), (0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_short_outer_left_strip_counts_from_zero(self):
-        assert _strip_keys(5, 2, 3) == [(-2, 0), (-1, 0), (-1, 1), (0, 0), (0, 1)]
+        assert strip_keys(5, 2, 3) == [(-2, 0), (-1, 0), (-1, 1), (0, 0), (0, 1)]
 
     def test_block_is_entire_cover(self):
-        assert _strip_keys(3, 3, 0) == [(0, 0), (0, 1), (0, 2)]
+        assert strip_keys(3, 3, 0) == [(0, 0), (0, 1), (0, 2)]
 
     def test_width_zero_cover_uses_block_size_one(self):
         c = OrderedCliqueCover(complete_graph(4), [{0, 1, 2, 3}])
@@ -113,7 +113,7 @@ class TestPartitionAroundBlock:
             c = OrderedCliqueCover(g, parts)
             w = block_size(c)
             for start in range(c.size - w + 1):
-                self._assert_tiling(c, w, start, _strip_keys(c.size, w, start))
+                self._assert_tiling(c, w, start, strip_keys(c.size, w, start))
 
 
 @st.composite
