@@ -32,6 +32,7 @@ from .generators import (
     star_graph,
 )
 from .graph import (
+    MAX_VERTICES,
     Graph,
     LineReader,
     format_edge_list,
@@ -118,6 +119,18 @@ def _parse_instance(text: str) -> CliqueSumInstance:
 
 
 def _cmd_gen(args) -> int:
+    size = {  # vertices per graph of each size-driven kind, before any is built
+        "path": 2 * args.t + 1,
+        "path-sum": 2 * args.t + 1,
+        "complete": args.n,
+        "random": args.n,
+        "star": args.leaves + 1,
+    }.get(args.kind, 0)
+    if size > MAX_VERTICES:
+        raise ValueError(
+            f"--kind {args.kind} asks for {size} vertices; "
+            f"at most {MAX_VERTICES} vertices allowed"
+        )
     if args.kind == "path":
         if args.t < 1:
             raise ValueError("path half-length t must be >= 1")
@@ -340,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a path it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,9 +64,9 @@ from typing import Sequence
 from .graph import (
     Graph,
     LineReader,
+    _clique_sum,
+    _members,
     check_shared_clique,
-    clique_sum,
-    clique_sum_map,
     format_edge_list,
     is_clique,
     read_edge_list,
@@ -123,11 +123,19 @@ def interleaved_sequence(
     """
     if not shared:
         raise ValueError("interleaved sequence requires a nonempty shared set")
-    entries = []
-    block_start = block_length = 0
     for source, c, vs in ((1, c1, shared.keys()), (2, c2, shared.values())):
         if not is_clique(c.graph, vs):
             raise ValueError(f"shared set does not induce a clique on side {source}")
+    return _interleave(c1, c2, shared)
+
+
+def _interleave(
+    c1: OrderedCliqueCover, c2: OrderedCliqueCover, shared: dict[int, int]
+) -> InterleaveLayout:
+    """:func:`interleaved_sequence` for a nonempty, already checked shared clique."""
+    entries = []
+    block_start = block_length = 0
+    for source, c, vs in ((1, c1, shared.keys()), (2, c2, shared.values())):
         w = max(cover_width(c), 1)
         anchor = min(min(c._index_of[v] for v in vs), c.size - w)
         for i in range(c.size):
@@ -212,29 +220,28 @@ def _best_insertion(
     """
     kept = [cl for cl in raw if cl]
     index_of = {v: idx for idx, cl in enumerate(kept) for v in cl}
+    bits = g._bits
+    inside = touching = 0
+    for v in item:
+        inside |= 1 << v
+        touching |= bits[v]
+    next_to = [index_of[v] for v in _members(touching & ~inside)]
+    lo, hi = (min(next_to), max(next_to)) if next_to else (len(kept), -1)
     widest = 0
     lefts: list[int] = []  # left ends of the kept edges of span ``widest``
-    lo, hi = len(kept), -1  # lowest and highest kept clique next to ``item``
-    for u, nbrs in enumerate(g.adjacency):
-        if not nbrs:
-            continue  # isolated vertices need no index
-        if u in item:
-            for v in nbrs:
-                if v not in item:
-                    j = index_of[v]
-                    lo = min(lo, j)
-                    hi = max(hi, j)
-            continue
+    for u in _members((1 << g.n) - 1 & ~inside):
+        above = bits[u] & ~inside & -(2 << u)  # each kept edge once
+        if not above:
+            continue  # vertices without kept edges need no index
         iu = index_of[u]
-        for v in nbrs:
-            if v > u and v not in item:
-                iv = index_of[v]
-                span = abs(iu - iv)
-                if span > widest:
-                    widest = span
-                    lefts = [min(iu, iv)]
-                elif span == widest:
-                    lefts.append(min(iu, iv))
+        for v in _members(above):
+            iv = index_of[v]
+            span = abs(iu - iv)
+            if span > widest:
+                widest = span
+                lefts = [min(iu, iv)]
+            elif span == widest:
+                lefts.append(min(iu, iv))
     crossings = [0] * (len(kept) + 1)  # difference array over the gaps
     for i in lefts:
         crossings[i + 1] += 1
@@ -361,8 +368,7 @@ def _compose(
         raise ValueError("c1 does not cover g1")
     if c2.graph != g2:
         raise ValueError("c2 does not cover g2")
-    composed = clique_sum(g1, g2, shared)  # validates the shared clique
-    g2_map = clique_sum_map(g1, g2, shared)
+    composed, g2_map = _clique_sum(g1, g2, shared)  # validates the shared clique
     sides = (
         c1.cliques,
         tuple(frozenset(g2_map[v] for v in cl) for cl in c2.cliques),
@@ -380,7 +386,7 @@ def _compose(
             zero, wide = sides if w1 == 0 else sides[::-1]
             raw, item, anchor = _one_sided_zero_parts(zero, wide, S)
         else:
-            layout = interleaved_sequence(c1, c2, shared)
+            layout = _interleave(c1, c2, shared)
             raw, item = _skeleton(layout, sides, S), S
             anchor = layout.block_start + layout.block_length // 2
             if w1 + w2 == 0:
@@ -490,7 +496,7 @@ def _span_check(
     if w1 + w2 == 0 or not shared:
         return SpanCheck(ok=True, max_span=0, limit=0, vacuous=True)
     if layout is None:
-        layout = interleaved_sequence(c1, c2, shared)
+        layout = _interleave(c1, c2, shared)
     beta1, beta2 = max(w1, 1), max(w2, 1)
     limit = beta1 + beta2 + min(beta1, beta2)
     at = ([0] * c1.size, [0] * c2.size)  # each clique's interleave position

@@ -1,11 +1,11 @@
 """Immutable undirected simple graphs on vertices 0..n-1.
 
-Adjacency is kept as per-vertex bitmasks (bit w of ``_bits[v]`` is set
-iff vw is an edge), which construction, gluing, edge listing, clique
-tests and the exact solvers all work on, and as per-vertex frozensets
-derived from them once (the public view).  Graphs never change after
-construction, so they are safe to share between threads and to use as
-dict keys.
+Adjacency is kept only as per-vertex bitmasks (bit w of ``_bits[v]`` is
+set iff vw is an edge), which construction, gluing, edge listing,
+clique tests, widths and the exact solvers all work on; the public
+neighbor sets are computed from a mask on each call.  Graphs never
+change after construction, so they are safe to share between threads
+and to use as dict keys.
 
 Also provides the two NP-hard scalar parameters needed by the width
 inequalities, clique number and induced star number, both computed
@@ -33,7 +33,8 @@ def _members(mask: int) -> list[int]:
 class Graph:
     """Undirected simple graph: no loops, no parallel edges, vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_bits")
+    __slots__ = ("n", "_bits")
+    _bits: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -46,7 +47,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             bits[u] |= 1 << v
             bits[v] |= 1 << u
-        self._set_bits(bits)
+        self.n, self._bits = n, tuple(bits)
 
     @classmethod
     def _from_bits(cls, bits: Sequence[int]) -> Graph:
@@ -55,23 +56,17 @@ class Graph:
         Unchecked: the masks must be symmetric and loop-free.
         """
         g = cls.__new__(cls)
-        g._set_bits(bits)
+        g.n, g._bits = len(bits), tuple(bits)
         return g
-
-    def _set_bits(self, bits: Sequence[int]) -> None:
-        self.n = len(bits)
-        self._bits: tuple[int, ...] = tuple(bits)
-        self._adj: tuple[frozenset[int], ...] = tuple(
-            map(frozenset, map(_members, bits))
-        )
 
     @property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        return self._adj
+        """Every vertex's neighbor set, built from the masks on each call."""
+        return tuple(frozenset(_members(bits)) for bits in self._bits)
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(_members(self._bits[v]))
 
     def neighbor_bits(self, v: int) -> int:
         """Neighborhood of v as a bitmask (bit w set iff vw is an edge)."""
@@ -79,12 +74,12 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._bits[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return self._bits[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically.
@@ -99,7 +94,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(bits.bit_count() for bits in self._bits) // 2
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -143,15 +138,8 @@ def clique_sum_map(g1: Graph, g2: Graph, shared: dict[int, int]) -> dict[int, in
     in g2-index order after them.
     """
     inverse = {v2: v1 for v1, v2 in shared.items()}
-    mapping: dict[int, int] = {}
-    nxt = g1.n
-    for v2 in range(g2.n):
-        if v2 in inverse:
-            mapping[v2] = inverse[v2]
-        else:
-            mapping[v2] = nxt
-            nxt += 1
-    return mapping
+    fresh = iter(range(g1.n, g1.n + g2.n))  # numbers for the unshared vertices
+    return {v2: inverse[v2] if v2 in inverse else next(fresh) for v2 in range(g2.n)}
 
 
 def check_shared_clique(g1: Graph, g2: Graph, shared: dict[int, int]) -> None:
@@ -180,16 +168,21 @@ def clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
     appends unshared g2 vertices in g2-index order; its masks are g1's
     with g2's, translated into that numbering, ORed onto them.
     """
+    return _clique_sum(g1, g2, shared)[0]
+
+
+def _clique_sum(
+    g1: Graph, g2: Graph, shared: dict[int, int]
+) -> tuple[Graph, dict[int, int]]:
+    """:func:`clique_sum` and :func:`clique_sum_map`, checking ``shared`` once."""
     check_shared_clique(g1, g2, shared)
     mapping = clique_sum_map(g1, g2, shared)
     bit = [1 << mapping[v2] for v2 in range(g2.n)]
     bits = [*g1._bits, *[0] * (g2.n - len(shared))]
-    for v2, nbrs in enumerate(g2._adj):
-        translated = 0
-        for w in nbrs:
-            translated |= bit[w]
-        bits[mapping[v2]] |= translated  # the shared clique's edges are g1's already
-    return Graph._from_bits(bits)
+    for v2, nbrs in enumerate(g2._bits):  # the shared clique's edges are g1's already
+        # distinct g2 vertices have distinct bits, so the sum is their union
+        bits[mapping[v2]] |= sum(bit[w] for w in _members(nbrs))
+    return Graph._from_bits(bits), mapping
 
 
 def _max_clique(nbrs: Sequence[int], cand: int) -> int:
@@ -329,10 +322,10 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The most vertices an edge-list header may declare.  ``Graph(n)`` builds
-# n neighborhood masks and n neighbor sets however few edges follow, so
-# the header alone must not be able to ask for an unbounded allocation;
-# the exact solvers stop far below this size.
+# The most vertices an edge-list header or a ``gen`` size may ask for.
+# ``Graph(n)`` builds n neighborhood masks of up to n bits each however
+# few edges follow, so a single number must not be able to ask for an
+# unbounded allocation; the exact solvers stop far below this size.
 MAX_VERTICES = 10_000
 
 

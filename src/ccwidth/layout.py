@@ -171,15 +171,17 @@ def index_width(g: Graph, index: Sequence[int] | dict[int, int]) -> int:
     covers and clique sequences by the position of their clique.
     """
     width = 0
-    for u, nbrs in enumerate(g.adjacency):
-        if not nbrs:
-            continue  # isolated vertices need no index
+    for u, bits in enumerate(g._bits):
+        above = bits & -(2 << u)  # each edge once, from its lower end
+        if not above:
+            continue  # vertices without edges need no index
         iu = index[u]
-        for v in nbrs:
-            if v > u:
-                gap = abs(iu - index[v])
-                if gap > width:
-                    width = gap
+        while above:
+            low = above & -above
+            above ^= low
+            gap = abs(iu - index[low.bit_length() - 1])
+            if gap > width:
+                width = gap
     return width
 
 

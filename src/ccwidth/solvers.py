@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterator
 
-from .graph import Graph, clique_number, star_number
+from .graph import Graph, _members, clique_number, star_number
 from .layout import LinearOrdering, OrderedCliqueCover, format_cover, format_ordering
 
 DEFAULT_BW_LIMIT = 12
@@ -274,8 +274,7 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
     closed = [g.neighbor_bits(v) | 1 << v for v in range(g.n)]
     cluster = all(c == closed[(c & -c).bit_length() - 1] for c in closed)
     value, cover = _least_width_cover(g, 0 if cluster else 1, cap=g.n)
-    cliques = [[v for v in range(g.n) if mask >> v & 1] for mask in cover]
-    return CcwResult(value, OrderedCliqueCover(g, cliques))
+    return CcwResult(value, OrderedCliqueCover(g, list(map(_members, cover))))
 
 
 @dataclass(frozen=True)

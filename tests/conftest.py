@@ -11,7 +11,9 @@ solver as witness oracles for the ordered-cover search, and
 ``unpruned_ccw`` keeps that search as it was before its unbounded
 cliques had a fit prune and its k loop skipped 0 on non-cluster graphs.  Likewise
 ``scan_insertion`` keeps the position-by-position insertion scan as the
-oracle for the one-pass insertion scoring of ``compose_covers``, and
+oracle for the one-pass insertion scoring of ``compose_covers``,
+``set_best_insertion`` keeps that scoring as it was on neighbor sets,
+before it walked the masks, and
 ``zip_interleaved_sequence`` keeps the strip lists, enclosing-block
 search and zip-and-alternate pass as the oracle for the strip-key sort
 of ``interleaved_sequence``, whose key formula ``strip_keys`` keeps with
@@ -36,7 +38,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
-from itertools import zip_longest
+import warnings
+from itertools import accumulate, zip_longest
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import pytest
@@ -58,6 +61,19 @@ from ccwidth.generators import _cliques_of_size
 from ccwidth.solvers import _cliques_in_lex_order
 
 T = TypeVar("T")
+
+# Hypothesis imports libcst to report a failing example, and that import
+# warns of a deprecation.  Under ``-W error`` on the command line, which
+# outranks the pyproject filters, the warning would abort the whole run
+# instead, so libcst is imported here once with that one message ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 def brute_bandwidth(g: Graph) -> int:
@@ -328,6 +344,65 @@ def scan_insertion(
     return best_key[0], best_final
 
 
+def set_best_insertion(
+    g: Graph,
+    raw: Sequence[frozenset[int]],
+    item: frozenset[int],
+    anchor: int,
+) -> tuple[int, list[frozenset[int]]]:
+    """The one-pass insertion scoring of ``compose_covers`` on neighbor sets.
+
+    Same scores, ties and result as the mask walk: the kept edges' widest
+    span M gives M + 1 at the gaps they cross and M elsewhere, and the
+    lowest and highest kept clique next to ``item`` bound its edges.
+    """
+    kept = [cl for cl in raw if cl]
+    index_of = {v: idx for idx, cl in enumerate(kept) for v in cl}
+    widest = 0
+    lefts: list[int] = []
+    lo, hi = len(kept), -1
+    for u, nbrs in enumerate(g.adjacency):
+        if not nbrs:
+            continue
+        if u in item:
+            for v in nbrs:
+                if v not in item:
+                    j = index_of[v]
+                    lo = min(lo, j)
+                    hi = max(hi, j)
+            continue
+        iu = index_of[u]
+        for v in nbrs:
+            if v > u and v not in item:
+                iv = index_of[v]
+                span = abs(iu - iv)
+                if span > widest:
+                    widest = span
+                    lefts = [min(iu, iv)]
+                elif span == widest:
+                    lefts.append(min(iu, iv))
+    crossings = [0] * (len(kept) + 1)
+    for i in lefts:
+        crossings[i + 1] += 1
+        crossings[i + widest + 1] -= 1
+    widths: list[int] = []
+    depth = 0
+    for p in range(len(kept) + 1):
+        depth += crossings[p]
+        width = widest + 1 if depth else widest
+        if lo < p:
+            width = max(width, p - lo)
+        if hi >= p:
+            width = max(width, hi + 1 - p)
+        widths.append(width)
+    kept_before = list(accumulate((bool(cl) for cl in raw), initial=0))
+    width, _, q = min(
+        (widths[p], abs(q - anchor), q) for q, p in enumerate(kept_before)
+    )
+    p = kept_before[q]
+    return width, kept[:p] + [item] + kept[p:]
+
+
 def set_adjacency(
     n: int, edges: Iterable[tuple[int, int]]
 ) -> tuple[tuple[frozenset[int], ...], tuple[int, ...]]:
@@ -508,13 +583,17 @@ SCRAMBLED_SEQ = (
 
 @pytest.fixture
 def scrambled_layout(monkeypatch):
-    """Make ``interleaved_sequence`` return ``SCRAMBLED_SEQ`` as its sequence."""
-    real = ccwidth.composition.interleaved_sequence
+    """Make the interleave return ``SCRAMBLED_SEQ`` as its sequence.
+
+    Patches the unchecked ``_interleave`` that compose, the span check
+    and ``interleaved_sequence`` all build their layout with.
+    """
+    real = ccwidth.composition._interleave
 
     def scrambled(c1, c2, shared):
         return dataclasses.replace(real(c1, c2, shared), seq=SCRAMBLED_SEQ)
 
-    monkeypatch.setattr(ccwidth.composition, "interleaved_sequence", scrambled)
+    monkeypatch.setattr(ccwidth.composition, "_interleave", scrambled)
 
 
 def band_side(rng: random.Random, t: int, w: int) -> tuple[Graph, OrderedCliqueCover]:

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from ccwidth import (
     ExperimentConfig,
     OrderedCliqueCover,
@@ -13,6 +15,7 @@ from ccwidth import (
     run_experiment,
 )
 from ccwidth.cli import main
+from ccwidth.graph import MAX_VERTICES
 from conftest import wide_side_sum
 
 
@@ -71,6 +74,61 @@ class TestGraphCommands:
         )
         assert code == 1
         assert "limit" in err
+
+
+class TestUnusablePaths:
+    """A path that cannot be read or written ends in one error line."""
+
+    def check(self, args, path, capsys):
+        code, out, err = run_cli(args, capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_missing_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        self.check(["bw", str(missing)], missing, capsys)
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        self.check(["ccw", str(tmp_path)], tmp_path, capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "g.txt"
+        self.check(["gen", "--kind", "path", "--t", "3", "--out", str(out)], out, capsys)
+
+
+class TestGenSizeCap:
+    """``gen`` refuses a graph above MAX_VERTICES before building anything."""
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("path", "--t", MAX_VERTICES // 2),  # 2t + 1 vertices
+            ("path-sum", "--t", MAX_VERTICES // 2),
+            ("complete", "--n", MAX_VERTICES + 1),
+            ("random", "--n", MAX_VERTICES + 1),
+            ("star", "--leaves", MAX_VERTICES),  # leaves + 1 vertices
+        ],
+    )
+    def test_one_above_the_cap(self, kind, flag, value, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a generator ran above the cap")
+
+        for name in (
+            "path_graph",
+            "path_sum_instance",
+            "complete_graph",
+            "random_graph",
+            "star_graph",
+        ):
+            monkeypatch.setattr(f"ccwidth.cli.{name}", unreachable)
+        args = ["gen", "--kind", kind, flag, str(value)]
+        assert run_cli(args, capsys=capsys) == (
+            1,
+            "",
+            f"error: --kind {kind} asks for {MAX_VERTICES + 1} vertices; "
+            f"at most {MAX_VERTICES} vertices allowed\n",
+        )
 
 
 class TestSearchDepth:

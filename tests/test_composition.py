@@ -39,6 +39,7 @@ from conftest import (
     interleave,
     quotient_edges,
     scan_insertion,
+    set_best_insertion,
     wide_side_sum,
 )
 
@@ -267,6 +268,23 @@ class TestComposeCoversCorpus:
             assert _best_insertion(g, raw, item, anchor) == scan_insertion(
                 g, raw, item, anchor
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=9), st.data())
+    def test_best_insertion_matches_neighbor_set_scoring(self, g, data):
+        # bucket 0 is the inserted item, buckets 1.. the raw entries, some empty
+        length = data.draw(st.integers(0, g.n + 2))
+        home = data.draw(
+            st.lists(st.integers(0, length), min_size=g.n, max_size=g.n)
+        )
+        item, *raw = (
+            frozenset(v for v in range(g.n) if home[v] == i)
+            for i in range(length + 1)
+        )
+        anchor = data.draw(st.integers(0, length))
+        assert _best_insertion(g, raw, item, anchor) == set_best_insertion(
+            g, raw, item, anchor
+        )
 
     def test_rejects_mismatched_cover(self):
         p3 = path_graph(3)

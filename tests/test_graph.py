@@ -134,7 +134,12 @@ class TestBitmaskCore:
         sets, bits = set_adjacency(n, edges)
         assert (g.adjacency, g._bits) == (sets, bits)
         assert g.edges() == sorted_edges(g) == sorted({tuple(sorted(e)) for e in edges})
-        assert g.edge_count == len(g.edges())
+        assert g.edge_count == len(g.edges()) == sum(map(len, sets)) // 2
+        assert [g.neighbors(v) for v in range(n)] == list(sets)
+        assert [g.degree(v) for v in range(n)] == [len(s) for s in sets]
+        assert [[g.has_edge(u, v) for v in range(n)] for u in range(n)] == [
+            [v in sets[u] for v in range(n)] for u in range(n)
+        ]
         self._assert_same(g, Graph._from_bits(bits))
 
     @settings(max_examples=300, deadline=None)

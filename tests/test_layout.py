@@ -26,6 +26,7 @@ from conftest import (
     quotient_edges,
     random_graph_corpus,
     set_validate_cover,
+    sorted_edges,
 )
 
 
@@ -272,3 +273,15 @@ def test_cover_width_reversal_property(n, data):
     choice = parts[data.draw(st.integers(0, len(parts) - 1))]
     c = OrderedCliqueCover(g, choice)
     assert cover_width(c) == cover_width(OrderedCliqueCover(g, c.cliques[::-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_index_width_matches_edge_list_oracle(g, data):
+    index = data.draw(st.lists(st.integers(-20, 20), min_size=g.n, max_size=g.n))
+    edges = sorted_edges(g)
+    width = max((abs(index[u] - index[v]) for u, v in edges), default=0)
+    assert index_width(g, index) == width
+    # only vertices with an edge are looked up
+    touched = {v for e in edges for v in e}
+    assert index_width(g, {v: index[v] for v in touched}) == width
