@@ -8,14 +8,12 @@ shared clique into a width-certified cover of the composed graph.
 """
 
 from .composition import (
-    InterleaveLayout,
     SpanCheck,
     WidthCertificate,
     ceil_three_halves,
     compose_covers,
     edge_span_claim_check,
     format_certificate,
-    interleaved_sequence,
     parse_certificate,
     sequence_width,
     verify_certificate,
@@ -79,7 +77,6 @@ __all__ = [
     "ExperimentConfig",
     "Graph",
     "InequalityReport",
-    "InterleaveLayout",
     "LinearOrdering",
     "OrderedCliqueCover",
     "SpanCheck",
@@ -102,7 +99,6 @@ __all__ = [
     "format_cover",
     "format_edge_list",
     "format_ordering",
-    "interleaved_sequence",
     "is_clique",
     "ordering_width",
     "parse_certificate",

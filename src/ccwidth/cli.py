@@ -119,13 +119,14 @@ def _parse_instance(text: str) -> CliqueSumInstance:
 
 
 def _cmd_gen(args) -> int:
-    size = {  # vertices per graph of each size-driven kind, before any is built
+    size = {  # the most vertices a graph of each kind may get, before any is built
         "path": 2 * args.t + 1,
         "path-sum": 2 * args.t + 1,
         "complete": args.n,
         "random": args.n,
         "star": args.leaves + 1,
-    }.get(args.kind, 0)
+        "random-clique-sum": args.n_max,
+    }[args.kind]
     if size > MAX_VERTICES:
         raise ValueError(
             f"--kind {args.kind} asks for {size} vertices; "

@@ -68,7 +68,6 @@ from .graph import (
     _members,
     check_shared_clique,
     format_edge_list,
-    is_clique,
     read_edge_list,
 )
 from .layout import (
@@ -102,37 +101,20 @@ class InterleaveLayout:
     block_length: int
 
 
-def interleaved_sequence(
-    c1: OrderedCliqueCover,
-    c2: OrderedCliqueCover,
-    shared: dict[int, int],
-) -> InterleaveLayout:
-    """The interleave skeleton: anchor blocks, strips, interleaves.
-
-    Each side's anchor block holds w = max(width, 1) cliques and starts
-    at the first clique meeting the shared set, moved left only as far
-    as the cover's end requires.  The shared set is a clique, so its
-    cliques span at most w + 1; when they span w + 1 the last one sits
-    just right of the block.  Sorting the cliques of both covers by
-    (strip, offset, side 2 first) interleaves the two strips at the same
-    distance from their blocks, a strip without a partner passing
-    through unchanged.  Every clique of c1 and of c2 appears exactly
-    once, cliques of each source in their original relative order.
-    Raises ``ValueError`` unless the shared set is nonempty and a
-    clique on both sides.
-    """
-    if not shared:
-        raise ValueError("interleaved sequence requires a nonempty shared set")
-    for source, c, vs in ((1, c1, shared.keys()), (2, c2, shared.values())):
-        if not is_clique(c.graph, vs):
-            raise ValueError(f"shared set does not induce a clique on side {source}")
-    return _interleave(c1, c2, shared)
-
-
 def _interleave(
     c1: OrderedCliqueCover, c2: OrderedCliqueCover, shared: dict[int, int]
 ) -> InterleaveLayout:
-    """:func:`interleaved_sequence` for a nonempty, already checked shared clique."""
+    """The interleave skeleton: anchor blocks, strips, interleaves.
+
+    Each side's anchor block holds w = max(width, 1) cliques from the
+    first clique meeting the shared set, moved left only as far as the
+    cover's end requires; when the shared clique spans w + 1 cliques the
+    last one sits just right of the block.  Sorting both covers' cliques
+    by (strip, offset, side 2 first) interleaves the strips at equal
+    distances from their blocks; a strip without a partner passes
+    through.  Every clique appears once, each source's in their order.
+    The caller checks that ``shared`` is a nonempty clique on both sides.
+    """
     entries = []
     block_start = block_length = 0
     for source, c, vs in ((1, c1, shared.keys()), (2, c2, shared.values())):
@@ -173,10 +155,10 @@ class WidthCertificate:
 
 
 def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
-    """Width of a clique sequence by position, tolerating empty entries.
+    """Width of a clique sequence by position.
 
-    Used to compare widths before and after dropping emptied cliques;
-    empty entries occupy an index but carry no edges.
+    Empty entries occupy an index but carry no edges; compose and the
+    verifier pass sequences without any.
     """
     index_of = {v: idx for idx, cl in enumerate(cliques) for v in cl}
     return index_width(g, index_of)

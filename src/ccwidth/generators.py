@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .graph import Graph
 from .layout import OrderedCliqueCover, cover_width
-from .solvers import DEFAULT_CCW_LIMIT, ccw_exact
+from .solvers import DEFAULT_CCW_LIMIT, _refuse_above, ccw_exact
 
 
 def path_graph(n: int) -> Graph:
@@ -126,8 +126,12 @@ def random_clique_sum_instance(
     if shared_max < 1:
         raise ValueError("shared clique size must be at least 1")
     for _ in range(MAX_ATTEMPTS):
-        g1 = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
-        g2 = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
+        sides = []
+        for _ in range(2):
+            n = rng.randint(n_lo, n_hi)
+            _refuse_above(n, ccw_limit, "clique-cover")  # before building a side
+            sides.append(random_graph(n, rng.uniform(p_lo, p_hi), rng))
+        g1, g2 = sides
         c1 = ccw_exact(g1, limit=ccw_limit).witness
         c2 = ccw_exact(g2, limit=ccw_limit).witness
         if cover_width(c1) + cover_width(c2) < min_total_width:

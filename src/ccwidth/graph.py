@@ -2,8 +2,7 @@
 
 Adjacency is kept only as per-vertex bitmasks (bit w of ``_bits[v]`` is
 set iff vw is an edge), which construction, gluing, edge listing,
-clique tests, widths and the exact solvers all work on; the public
-neighbor sets are computed from a mask on each call.  Graphs never
+clique tests, widths and the exact solvers all work on.  Graphs never
 change after construction, so they are safe to share between threads
 and to use as dict keys.
 
@@ -59,15 +58,6 @@ class Graph:
         g.n, g._bits = len(bits), tuple(bits)
         return g
 
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Every vertex's neighbor set, built from the masks on each call."""
-        return tuple(frozenset(_members(bits)) for bits in self._bits)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return frozenset(_members(self._bits[v]))
-
     def neighbor_bits(self, v: int) -> int:
         """Neighborhood of v as a bitmask (bit w set iff vw is an edge)."""
         return self._bits[v]
@@ -75,11 +65,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self._bits[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return self._bits[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically.
@@ -330,13 +315,33 @@ MAX_VERTICES = 10_000
 
 
 def read_edge_list(r: LineReader) -> Graph:
-    """Edge-list block: an ``n m`` header, n <= MAX_VERTICES, then m ``u v`` lines."""
+    """Edge-list block: an ``n m`` header, n <= MAX_VERTICES, then m ``u v`` lines.
+
+    A loop, an endpoint out of range or an edge listed again (in either
+    orientation, so it could not be written back) is an error about its line.
+    """
     n, m = r.ints(2)
     if n < 0 or m < 0:
         raise r.error("counts must be >= 0")
     if n > MAX_VERTICES:
         raise r.error(f"at most {MAX_VERTICES} vertices allowed")
-    return Graph(n, r.rows(m, 2))
+    rows = r.rows(m, 2)
+    try:
+        g = Graph(n, rows)
+        if g.edge_count == m:
+            return g
+    except ValueError as exc:  # names the first loop or endpoint out of range
+        problem = str(exc)
+    seen: set[tuple[int, int]] = set()
+    for back, (u, v) in zip(range(m, 0, -1), rows):  # fewer than m edges: a repeat
+        edge = (min(u, v), max(u, v))
+        if edge in seen:
+            problem = f"edge {edge[0]} {edge[1]} listed twice"
+            break
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            break
+        seen.add(edge)
+    raise r.error(problem, back)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -143,15 +143,6 @@ class OrderedCliqueCover:
         """Number of cliques (t + 1 for cliques c_0..c_t)."""
         return len(self.cliques)
 
-    def clique_index(self, v: int) -> int:
-        """Index of the clique containing vertex v."""
-        self.graph._check_vertex(v)
-        return self._index_of[v]
-
-    def as_sorted_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical form: each clique as a sorted tuple, in cover order."""
-        return tuple(tuple(sorted(cl)) for cl in self.cliques)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrderedCliqueCover):
             return NotImplemented

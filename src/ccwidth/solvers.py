@@ -57,6 +57,15 @@ class SearchBudgetExceeded(Exception):
     """Raised when a capped decision search memoizes too many failed states."""
 
 
+def _refuse_above(n: int, limit: int | None, search: str) -> None:
+    """Raise unless ``n`` vertices are within the ``search`` size ``limit``."""
+    if limit is not None and n > limit:
+        raise ValueError(
+            f"graph has {n} vertices, above the {search} search limit "
+            f"{limit}; pass a larger limit explicitly to override"
+        )
+
+
 def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> BandwidthResult:
     """Minimum ordering width and a witness ordering, by exhaustive search.
 
@@ -66,11 +75,7 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
     """
     if g.n < 1:
         raise ValueError("bandwidth requires at least one vertex")
-    if limit is not None and g.n > limit:
-        raise ValueError(
-            f"graph has {g.n} vertices, above the bandwidth search limit "
-            f"{limit}; pass a larger limit explicitly to override"
-        )
+    _refuse_above(g.n, limit, "bandwidth")
     start = max(ceil(g.degree(v) / 2) for v in range(g.n))
     value, cover = _least_width_cover(g, start, cap=1)
     return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
@@ -264,11 +269,7 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
     """
     if g.n < 1:
         raise ValueError("clique cover width requires at least one vertex")
-    if limit is not None and g.n > limit:
-        raise ValueError(
-            f"graph has {g.n} vertices, above the clique-cover search limit "
-            f"{limit}; pass a larger limit explicitly to override"
-        )
+    _refuse_above(g.n, limit, "clique-cover")
     # ccw = 0 exactly when every component is a clique, that is when each
     # closed neighborhood equals that of the least vertex in it.
     closed = [g.neighbor_bits(v) | 1 << v for v in range(g.n)]

@@ -16,13 +16,15 @@ oracle for the one-pass insertion scoring of ``compose_covers``,
 before it walked the masks, and
 ``zip_interleaved_sequence`` keeps the strip lists, enclosing-block
 search and zip-and-alternate pass as the oracle for the strip-key sort
-of ``interleaved_sequence``, whose key formula ``strip_keys`` keeps with
-its unit tests.  The set-based graph layer the bitmask one replaced
+of ``composition._interleave``, whose key formula ``strip_keys`` keeps
+with its unit tests.  The set-based graph layer the bitmask one replaced
 stays as oracles too: ``set_adjacency`` builds adjacency sets from an
-edge list, ``sorted_edges`` lists edges by sorting them,
+edge list, ``neighbor_sets`` builds them from ``Graph.edges`` (never
+from the masks), ``sorted_edges`` lists edges by testing every pair,
 ``edge_list_clique_sum`` glues two graphs by re-listing their edges,
 and ``set_validate_cover`` checks a cover pair by pair with the same
-reason strings.
+reason strings.  ``sorted_cover`` is a cover's canonical form, its
+cliques as sorted tuples.
 ``iter_clique_partitions`` enumerates every clique partition in
 canonical order, for ``enumerate_ccw`` and for the tests that walk all
 covers of a graph.  The ``scrambled_layout`` fixture swaps in an
@@ -106,9 +108,10 @@ def _all_clique_partitions(g: Graph):
         for cls in range(classes + 1):
             yield from grow(assignment + [cls], max(classes, cls + 1))
 
+    adj = neighbor_sets(g)
     for parts in grow([], 0):
         if all(
-            g.has_edge(u, v)
+            v in adj[u]
             for part in parts
             for u, v in itertools.combinations(part, 2)
         ):
@@ -173,6 +176,7 @@ def feasible_ordering(g: Graph, k: int) -> list[int] | None:
     order: list[int] = []
     pos_of = [-1] * n
     unplaced_nbrs = [g.degree(v) for v in range(n)]
+    adj = neighbor_sets(g)
 
     def place(p: int) -> bool:
         if p == n:
@@ -188,7 +192,7 @@ def feasible_ordering(g: Graph, k: int) -> list[int] | None:
             if pos_of[v] != -1:
                 continue
             ok = True
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 q = pos_of[u]
                 if q != -1 and p - q > k:
                     ok = False
@@ -197,11 +201,11 @@ def feasible_ordering(g: Graph, k: int) -> list[int] | None:
                 continue
             pos_of[v] = p
             order.append(v)
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 unplaced_nbrs[u] -= 1
             if place(p + 1):
                 return True
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 unplaced_nbrs[u] += 1
             order.pop()
             pos_of[v] = -1
@@ -361,7 +365,7 @@ def set_best_insertion(
     widest = 0
     lefts: list[int] = []
     lo, hi = len(kept), -1
-    for u, nbrs in enumerate(g.adjacency):
+    for u, nbrs in enumerate(neighbor_sets(g)):
         if not nbrs:
             continue
         if u in item:
@@ -415,9 +419,23 @@ def set_adjacency(
     return sets, tuple(sum(1 << w for w in s) for s in sets)
 
 
+def neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    """Each vertex's neighbor set, built from ``g.edges()``."""
+    return set_adjacency(g.n, g.edges())[0]
+
+
 def sorted_edges(g: Graph) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, by sorting each neighbor set."""
-    return [(u, v) for u in range(g.n) for v in sorted(g.adjacency[u]) if u < v]
+    """Edges (u, v), u < v, by testing the mask bit of every pair in order."""
+    return [
+        (u, v)
+        for u, v in itertools.combinations(range(g.n), 2)
+        if g.neighbor_bits(u) >> v & 1
+    ]
+
+
+def sorted_cover(c: OrderedCliqueCover) -> tuple[tuple[int, ...], ...]:
+    """Canonical form of a cover: each clique as a sorted tuple, in order."""
+    return tuple(tuple(sorted(cl)) for cl in c.cliques)
 
 
 def edge_list_clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
@@ -430,6 +448,7 @@ def edge_list_clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
 
 def set_validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck:
     """``validate_cover`` on vertex sets, pair by pair, same reasons."""
+    adj = neighbor_sets(g)
     seen: set[int] = set()
     materialized: list[list[int]] = []
     for pos, cl in enumerate(cliques):
@@ -449,7 +468,7 @@ def set_validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck
     for pos, vs in enumerate(materialized):
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
-                if v not in g.adjacency[u]:
+                if v not in adj[u]:
                     return CoverCheck(
                         False,
                         f"class at position {pos} is not a clique: "
@@ -465,7 +484,7 @@ def strip_keys(size: int, w: int, anchor: int) -> list[tuple[int, int]]:
     1, 2, ... follow it and strips -1, -2, ... precede it, each of ``w``
     cliques except the outermost on a side, which holds what is left.
     The offset is the clique's position inside its strip, so a short
-    outermost left strip counts from clique 0.  ``interleaved_sequence``
+    outermost left strip counts from clique 0.  ``composition._interleave``
     computes the same keys inline.
     """
     keys = []
@@ -506,7 +525,7 @@ def locate_enclosing_block(c: OrderedCliqueCover, s: Iterable[int]) -> range:
         raise ValueError("enclosing block requires a nonempty vertex set")
     if not is_clique(c.graph, vs):
         raise ValueError("vertex set does not induce a clique")
-    hit = [c.clique_index(v) for v in vs]
+    hit = [c._index_of[v] for v in vs]
     lo, hi = min(hit), max(hit)
     length = min(max(block_size(c), hi - lo + 1), c.size)
     start = min(lo, c.size - length)
@@ -585,8 +604,8 @@ SCRAMBLED_SEQ = (
 def scrambled_layout(monkeypatch):
     """Make the interleave return ``SCRAMBLED_SEQ`` as its sequence.
 
-    Patches the unchecked ``_interleave`` that compose, the span check
-    and ``interleaved_sequence`` all build their layout with.
+    Patches ``composition._interleave``, the one interleave that compose
+    and the span check build their layout with.
     """
     real = ccwidth.composition._interleave
 
@@ -670,22 +689,24 @@ def wide_side_sum() -> CliqueSumInstance:
 
 
 def brute_clique_number(g: Graph) -> int:
+    adj = neighbor_sets(g)
     best = 0
     for size in range(1, g.n + 1):
         for sub in itertools.combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)):
+            if all(v in adj[u] for u, v in itertools.combinations(sub, 2)):
                 best = size
     return best
 
 
 def brute_star_number(g: Graph) -> int:
+    adj = neighbor_sets(g)
     best = 0
     for center in range(g.n):
-        nbrs = sorted(g.neighbors(center))
+        nbrs = sorted(adj[center])
         for size in range(1, len(nbrs) + 1):
             for sub in itertools.combinations(nbrs, size):
                 if not any(
-                    g.has_edge(u, v) for u, v in itertools.combinations(sub, 2)
+                    v in adj[u] for u, v in itertools.combinations(sub, 2)
                 ):
                     best = max(best, size)
     return best

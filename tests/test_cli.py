@@ -108,6 +108,7 @@ class TestGenSizeCap:
             ("complete", "--n", MAX_VERTICES + 1),
             ("random", "--n", MAX_VERTICES + 1),
             ("star", "--leaves", MAX_VERTICES),  # leaves + 1 vertices
+            ("random-clique-sum", "--n-max", MAX_VERTICES + 1),
         ],
     )
     def test_one_above_the_cap(self, kind, flag, value, capsys, monkeypatch):
@@ -122,6 +123,7 @@ class TestGenSizeCap:
             "star_graph",
         ):
             monkeypatch.setattr(f"ccwidth.cli.{name}", unreachable)
+        monkeypatch.setattr("ccwidth.generators.random_graph", unreachable)
         args = ["gen", "--kind", kind, flag, str(value)]
         assert run_cli(args, capsys=capsys) == (
             1,
@@ -129,6 +131,56 @@ class TestGenSizeCap:
             f"error: --kind {kind} asks for {MAX_VERTICES + 1} vertices; "
             f"at most {MAX_VERTICES} vertices allowed\n",
         )
+
+    def test_clique_sum_side_above_the_ccw_limit(self, capsys, monkeypatch):
+        """A side size the ccw solver would refuse is refused before drawing."""
+
+        def unreachable(*args):
+            raise AssertionError("a side was built above the ccw limit")
+
+        monkeypatch.setattr("ccwidth.generators.random_graph", unreachable)
+        args = ["gen", "--kind", "random-clique-sum", "--n-min", "1500"]
+        assert run_cli([*args, "--n-max", "1500"], capsys=capsys) == (
+            1,
+            "",
+            "error: graph has 1500 vertices, above the clique-cover search "
+            "limit 9; pass a larger limit explicitly to override\n",
+        )
+
+
+class TestBadEdgeRows:
+    """A loop, an endpoint out of range or a repeated edge names its line."""
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("1 0", "edge 0 1 listed twice"),
+            ("0 0", "self-loop at vertex 0 not allowed"),
+            ("0 9", "edge (0, 9) out of range for n={n}"),
+        ],
+        ids=["repeat", "loop", "out-of-range"],
+    )
+    def test_every_reader(self, row, problem, tmp_path, capsys):
+        """The second edge row, on line 3, goes bad in each edge-list reader."""
+        gen = ["gen", "--kind", "path-sum", "--t", "1"]
+        code, bundle, _ = run_cli(gen, capsys=capsys)
+        assert code == 0 and bundle.startswith("3 2\n0 1\n1 2\n")
+        inst = path_sum_instance(1)
+        args = (inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        cert = format_certificate(compose_covers(*args))
+        assert cert.startswith("5 4\n0 1\n1 2\n")
+        cases = [  # command, its input, the reader's name, the graph's n
+            (["ccw"], "3 2\n0 1\n1 2\n", "edge list", 3),
+            (["verify"], cert, "certificate", 5),
+            (["compose", "--instance"], bundle, "instance bundle", 3),
+        ]
+        path = tmp_path / "input.txt"
+        for command, text, name, n in cases:
+            path.write_text(text.replace("1 2\n", f"{row}\n", 1))
+            code, out, err = run_cli([*command, str(path)], capsys=capsys)
+            assert (code, out) == (1, "")
+            reason = problem.format(n=n)
+            assert err == f"error: {name} line 3: {reason}, got '{row}'\n"
 
 
 class TestSearchDepth:

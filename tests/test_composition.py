@@ -18,7 +18,6 @@ from ccwidth import (
     cover_width,
     edge_span_claim_check,
     format_certificate,
-    interleaved_sequence,
     parse_certificate,
     path_graph,
     path_sum_instance,
@@ -29,7 +28,12 @@ from ccwidth import (
     verify_certificate,
 )
 import ccwidth.composition
-from ccwidth.composition import _best_insertion, _side_kept_order, _skeleton
+from ccwidth.composition import (
+    _best_insertion,
+    _interleave,
+    _side_kept_order,
+    _skeleton,
+)
 from conftest import (
     band_sum_instance,
     brute_ccw,
@@ -71,28 +75,16 @@ class TestInterleave:
 class TestInterleavedSequence:
     def test_source_orders_preserved(self):
         for inst in _instances("order", 150):
-            layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
+            layout = _interleave(inst.c1, inst.c2, inst.shared)
             for source, cover in ((1, inst.c1), (2, inst.c2)):
                 subseq = [idx for src, idx in layout.seq if src == source]
                 assert subseq == list(range(cover.size))
 
     def test_every_clique_from_a_source(self):
         for inst in _instances("membership", 50):
-            layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
+            layout = _interleave(inst.c1, inst.c2, inst.shared)
             assert len(layout.seq) == inst.c1.size + inst.c2.size
             assert all(src in (1, 2) for src, _ in layout.seq)
-
-    def test_rejects_empty_shared(self):
-        p3 = path_graph(3)
-        c = OrderedCliqueCover(p3, [{0, 1}, {2}])
-        with pytest.raises(ValueError):
-            interleaved_sequence(c, c, {})
-
-    def test_rejects_non_clique_shared(self):
-        p3 = path_graph(3)
-        c = OrderedCliqueCover(p3, [{0, 1}, {2}])
-        with pytest.raises(ValueError, match="clique"):
-            interleaved_sequence(c, c, {0: 0, 2: 2})
 
 
 class TestComposeCoversExamples:
@@ -228,7 +220,7 @@ class TestComposeCoversCorpus:
             composed = clique_sum(inst.g1, inst.g2, inst.shared)
             # Nominal fix-up before compaction: the shared-set clique at
             # the middle of the block segment, emptied cliques kept.
-            layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
+            layout = _interleave(inst.c1, inst.c2, inst.shared)
             sides = (
                 inst.c1.cliques,
                 [frozenset(g2_map[v] for v in cl) for cl in inst.c2.cliques],

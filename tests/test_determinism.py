@@ -45,7 +45,6 @@ from ccwidth import (
     edge_span_claim_check,
     format_bandwidth_result,
     format_certificate,
-    interleaved_sequence,
     path_sum_instance,
     random_clique_sum_instance,
     random_graph,
@@ -54,7 +53,7 @@ from ccwidth import (
 )
 from ccwidth.cli import main
 from ccwidth.experiment import _row
-from conftest import band_sum_instance, fallback_instance, wide_side_sum
+from conftest import band_sum_instance, fallback_instance, sorted_cover, wide_side_sum
 
 EXPERIMENT_SHA256 = {
     0: "f17237a8f31169307c86110f390c6c201f9268a140e4ed49236a24f534c4bcd0",
@@ -130,8 +129,8 @@ def test_experiment_csv_digest(seed):
 @pytest.mark.parametrize("t", sorted(PATH_SUM_WITNESSES))
 def test_path_sum_witnesses(t):
     inst = path_sum_instance(t)
-    assert inst.c1.as_sorted_tuples() == PATH_SUM_WITNESSES[t]
-    assert inst.c2.as_sorted_tuples() == PATH_SUM_WITNESSES[t]
+    assert sorted_cover(inst.c1) == PATH_SUM_WITNESSES[t]
+    assert sorted_cover(inst.c2) == PATH_SUM_WITNESSES[t]
 
 
 def _certificate_pin_instances():
@@ -228,7 +227,7 @@ def test_interleave_layout_digest():
     digest = hashlib.sha256()
     for inst in _certificate_pin_instances():
         args = (inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
-        layout = interleaved_sequence(inst.c1, inst.c2, inst.shared)
+        layout = ccwidth.composition._interleave(inst.c1, inst.c2, inst.shared)
         digest.update(
             repr((layout.seq, layout.block_start, layout.block_length)).encode()
         )

@@ -23,6 +23,7 @@ from conftest import (
     brute_star_number,
     edge_list_clique_sum,
     graphs,
+    neighbor_sets,
     random_graph_corpus,
     set_adjacency,
     sorted_edges,
@@ -58,9 +59,10 @@ class TestBuildGraph:
 
     def test_adjacency_symmetric(self):
         g = Graph(5, [(0, 3), (2, 4), (1, 3)])
+        adj = neighbor_sets(g)
         for u in range(5):
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
+            for v in adj[u]:
+                assert u in adj[v]
                 assert u != v
 
 
@@ -92,8 +94,9 @@ class TestIsClique:
         members = data.draw(
             st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n)
         )
+        adj = neighbor_sets(g)
         expected = all(
-            g.has_edge(u, v) for u, v in itertools.combinations(sorted(members), 2)
+            v in adj[u] for u, v in itertools.combinations(sorted(members), 2)
         )
         assert is_clique(g, members) == expected
 
@@ -108,10 +111,11 @@ def edge_lists(draw, max_n=10):
 
 
 def _brute_cliques(g, k):
+    adj = neighbor_sets(g)
     return [
         q
         for q in itertools.combinations(range(g.n), k)
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(q, 2))
+        if all(v in adj[u] for u, v in itertools.combinations(q, 2))
     ]
 
 
@@ -121,7 +125,7 @@ class TestBitmaskCore:
     @staticmethod
     def _assert_same(g, h):
         assert g.n == h.n
-        assert g.adjacency == h.adjacency
+        assert neighbor_sets(g) == neighbor_sets(h)
         assert g._bits == h._bits
         assert g.edges() == h.edges()
         assert g == h and hash(g) == hash(h)
@@ -132,14 +136,11 @@ class TestBitmaskCore:
         n, edges = case
         g = Graph(n, edges)
         sets, bits = set_adjacency(n, edges)
-        assert (g.adjacency, g._bits) == (sets, bits)
+        assert (neighbor_sets(g), g._bits) == (sets, bits)
         assert g.edges() == sorted_edges(g) == sorted({tuple(sorted(e)) for e in edges})
         assert g.edge_count == len(g.edges()) == sum(map(len, sets)) // 2
-        assert [g.neighbors(v) for v in range(n)] == list(sets)
+        assert [g.neighbor_bits(v) for v in range(n)] == list(bits)
         assert [g.degree(v) for v in range(n)] == [len(s) for s in sets]
-        assert [[g.has_edge(u, v) for v in range(n)] for u in range(n)] == [
-            [v in sets[u] for v in range(n)] for u in range(n)
-        ]
         self._assert_same(g, Graph._from_bits(bits))
 
     @settings(max_examples=300, deadline=None)
@@ -216,10 +217,11 @@ class TestCliqueSum:
             if shared is None:
                 continue
             s = clique_sum(g1, g2, shared)
+            adj1 = neighbor_sets(g1)
             shared_edges = sum(
                 1
                 for u, v in itertools.combinations(sorted(shared), 2)
-                if g1.has_edge(u, v)
+                if v in adj1[u]
             )
             assert s.edge_count == g1.edge_count + g2.edge_count - shared_edges
 
@@ -319,8 +321,9 @@ class TestStarNumber:
             max_deg = max(g.degree(v) for v in range(g.n))
             s = star_number(g)
             assert s <= max_deg
+            adj = neighbor_sets(g)
             triangle_free = all(
-                not (g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w))
+                not (v in adj[u] and w in adj[v] and w in adj[u])
                 for u, v, w in itertools.combinations(range(g.n), 3)
             )
             if triangle_free:

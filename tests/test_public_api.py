@@ -56,3 +56,29 @@ def test_benchmark_names_are_exported():
                 names.add(node.attr)
     assert len(names) >= 20, sorted(names)
     assert sorted(names - set(ccwidth.__all__)) == []
+
+
+def test_every_export_has_a_caller():
+    """Every export is used by the library or the benchmark, or documented.
+
+    Only code counts: names and attributes in the AST of the modules
+    (``__init__.py`` aside) and of ``perfbench/``, not their docstrings.
+    """
+    paths = sorted((ROOT / "src" / "ccwidth").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = README.read_text()
+    unused = [
+        name
+        for name in ccwidth.__all__
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []

@@ -36,6 +36,7 @@ from ccwidth import (
 from ccwidth.cli import _format_instance, _parse_instance, main
 from ccwidth.generators import CliqueSumInstance
 from ccwidth.graph import MAX_VERTICES
+from conftest import neighbor_sets
 
 
 def _instances():
@@ -142,7 +143,7 @@ class TestNegativeCounts:
 
 def test_vertex_cap(tmp_path, capsys):
     """A header over the vertex cap is one error line, before any allocation."""
-    assert len(parse_edge_list(f"{MAX_VERTICES} 0\n").adjacency) == MAX_VERTICES
+    assert len(neighbor_sets(parse_edge_list(f"{MAX_VERTICES} 0\n"))) == MAX_VERTICES
     graph = tmp_path / "g.txt"
     graph.write_text("99999999 0\n")
     code = main(["ccw", str(graph)])

@@ -34,6 +34,7 @@ from conftest import (
     graphs,
     iter_clique_partitions,
     random_graph_corpus,
+    sorted_cover,
     unpruned_ccw,
     unpruned_cover_within,
 )
@@ -199,14 +200,14 @@ class TestCcwExact:
         for n in range(1, 6):
             for g in all_labeled_graphs(n):
                 r = ccw_exact(g)
-                assert (r.value, r.witness.as_sorted_tuples()) == enumerate_ccw(g)
+                assert (r.value, sorted_cover(r.witness)) == enumerate_ccw(g)
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=8))
 def test_ccw_matches_partition_enumeration(g):
     r = ccw_exact(g)
-    assert (r.value, r.witness.as_sorted_tuples()) == enumerate_ccw(g)
+    assert (r.value, sorted_cover(r.witness)) == enumerate_ccw(g)
     if g.n <= 6:  # brute force tries every ordered partition: 545,835 at n = 8
         assert r.value == brute_ccw(g)
 
@@ -215,7 +216,7 @@ def test_ccw_matches_partition_enumeration(g):
 @given(graphs(min_n=6, max_n=12))
 def test_ccw_matches_unpruned_search(g):
     r = ccw_exact(g, limit=12)
-    assert (r.value, r.witness.as_sorted_tuples()) == unpruned_ccw(g)
+    assert (r.value, sorted_cover(r.witness)) == unpruned_ccw(g)
 
 
 def test_ccw_decisions_match_unpruned_search_at_every_k():
@@ -243,7 +244,7 @@ def test_ccw_decisions_match_unpruned_search_at_every_k():
 )
 def test_cluster_witness_lists_components_by_least_vertex(n, edges, cover):
     r = ccw_exact(Graph(n, edges))
-    assert (r.value, r.witness.as_sorted_tuples()) == (0, cover)
+    assert (r.value, sorted_cover(r.witness)) == (0, cover)
 
 
 def test_cluster_witnesses_of_seeded_partitions():
@@ -255,7 +256,7 @@ def test_cluster_witnesses_of_seeded_partitions():
         g = Graph(n, [(u, v) for u, v in pairs if label[u] == label[v]])
         parts = sorted(tuple(v for v in range(n) if label[v] == c) for c in set(label))
         r = ccw_exact(g)
-        assert (r.value, r.witness.as_sorted_tuples()) == (0, tuple(parts))
+        assert (r.value, sorted_cover(r.witness)) == (0, tuple(parts))
 
 
 class TestInequalityCorpus:

@@ -1,7 +1,7 @@
 """Strip keys, and the strip lists they replaced, kept as an oracle.
 
 ``conftest.strip_keys`` gives each clique of a cover its (strip, offset)
-around an anchor block, and ``interleaved_sequence`` computes the same
+around an anchor block, and ``composition._interleave`` computes the same
 keys inline and sorts the cliques of both covers by them.  The strip
 lists, the enclosing-block search and the zip-and-alternate pass that
 built the same sequence before live on in ``conftest`` as the oracle of
@@ -20,10 +20,10 @@ from ccwidth import (
     OrderedCliqueCover,
     complete_graph,
     cover_width,
-    interleaved_sequence,
     is_clique,
     path_graph,
 )
+from ccwidth.composition import _interleave
 from conftest import (
     block_size,
     graphs,
@@ -70,12 +70,12 @@ class TestPartitionAroundBlock:
 
     def test_width_zero_cover_uses_block_size_one(self):
         c = OrderedCliqueCover(complete_graph(4), [{0, 1, 2, 3}])
-        layout = interleaved_sequence(c, c, {0: 0})
+        layout = _interleave(c, c, {0: 0})
         assert (layout.seq, layout.block_start, layout.block_length) == (
             ((2, 0), (1, 0)), 0, 2
         )
         c = OrderedCliqueCover(Graph(3), [{0}, {1}, {2}])
-        layout = interleaved_sequence(c, c, {1: 1})
+        layout = _interleave(c, c, {1: 1})
         assert layout.seq == ((2, 0), (1, 0), (2, 1), (1, 1), (2, 2), (1, 2))
         assert (layout.block_start, layout.block_length) == (2, 2)
 
@@ -153,7 +153,7 @@ class TestStripKeyInterleave:
         """The strip-key sort builds the zip-and-alternate layout, both ways round."""
         c1, c2, shared = case
         for a, b, s in ((c1, c2, shared), (c2, c1, {v: u for u, v in shared.items()})):
-            layout = interleaved_sequence(a, b, s)
+            layout = _interleave(a, b, s)
             assert (
                 layout.seq, layout.block_start, layout.block_length
             ) == zip_interleaved_sequence(a, b, s)
@@ -210,7 +210,7 @@ class TestLocateEnclosingBlock:
             else:
                 s = {rng.randrange(g.n)}
             block = locate_enclosing_block(c, s)
-            hits = [c.clique_index(v) for v in s]
+            hits = [c._index_of[v] for v in s]
             for i in hits:
                 assert i in block
             # block size or hit span, whichever is larger, capped at the
