@@ -47,8 +47,8 @@ Degenerate widths take documented detours:
   cliques, which have no external edges at all, keep their relative
   order around it;
 * both widths 0: the nominal bound is 0 but extracting S can create
-  spans of 1, so the certificate carries bound 1 and flags the
-  adjustment.
+  spans of 1, so the certificate carries bound 1, one above
+  ceil(3/2 * (w1 + w2)).
 
 Every certificate is re-checkable: the verifier revalidates the cover
 and its achieved width from scratch and ties the bound to the recorded
@@ -148,11 +148,6 @@ class WidthCertificate:
     bound: int
     achieved: int
 
-    @property
-    def bound_adjusted(self) -> bool:
-        """Whether ``bound`` exceeds ceil(3/2 * (w1 + w2)), as for width-0 sides."""
-        return self.bound > ceil_three_halves(self.w1 + self.w2)
-
 
 def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
     """Width of a clique sequence by position.
@@ -162,23 +157,6 @@ def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
     """
     index_of = {v: idx for idx, cl in enumerate(cliques) for v in cl}
     return index_width(g, index_of)
-
-
-def _skeleton(
-    layout: InterleaveLayout,
-    sides: tuple[Sequence[frozenset[int]], Sequence[frozenset[int]]],
-    shared: frozenset[int],
-) -> list[frozenset[int]]:
-    """Skeleton cliques of ``layout`` with the shared set deleted.
-
-    ``sides`` holds both covers' cliques and ``shared`` the shared set,
-    all in composed numbering.  One entry per skeleton clique, possibly
-    empty after the deletion; the new clique holding exactly the shared
-    set goes in by :func:`_best_insertion`.  When that misses the bound,
-    compose drops the skeleton and orders a side-kept clique set instead
-    (:func:`_side_kept_order`).
-    """
-    return [sides[src - 1][idx] - shared for src, idx in layout.seq]
 
 
 def _best_insertion(
@@ -327,7 +305,7 @@ def compose_covers(
     and must induce a clique on both sides.  The returned certificate
     promises achieved <= bound with bound = ceil(3/2 * (w1 + w2)),
     except in the documented degenerate regimes (empty shared set:
-    bound max(w1, w2); both widths zero: bound 1, flagged as adjusted).
+    bound max(w1, w2); both widths zero: bound 1).
     Raises ``ValueError`` rather than return a cover above that bound.
     """
     return _compose(g1, c1, g2, c2, shared)[0]
@@ -369,7 +347,10 @@ def _compose(
             raw, item, anchor = _one_sided_zero_parts(zero, wide, S)
         else:
             layout = _interleave(c1, c2, shared)
-            raw, item = _skeleton(layout, sides, S), S
+            # The S-clique goes in by _best_insertion; when that misses the
+            # bound, the fallback below drops this skeleton.
+            raw = [sides[src - 1][idx] - S for src, idx in layout.seq]
+            item = S
             anchor = layout.block_start + layout.block_length // 2
             if w1 + w2 == 0:
                 bound += 1

@@ -21,6 +21,7 @@ from .generators import (
     path_sum_instance,
     random_clique_sum_instance,
 )
+from .graph import MAX_VERTICES
 from .solvers import DEFAULT_CCW_LIMIT, ccw_exact
 
 CSV_HEADER = [
@@ -65,6 +66,11 @@ class ExperimentConfig:
             raise ValueError(f"instance count must be >= 1, got {self.count}")
         if not 1 <= self.n_lo <= self.n_hi:
             raise ValueError(f"bad side size range [{self.n_lo}, {self.n_hi}]")
+        if self.n_hi > MAX_VERTICES:
+            raise ValueError(
+                f"side size range [{self.n_lo}, {self.n_hi}] asks for "
+                f"{self.n_hi} vertices; at most {MAX_VERTICES} vertices allowed"
+            )
         if self.shared_max < 1:
             raise ValueError("shared clique size must be at least 1")
         if self.t_start < 1:

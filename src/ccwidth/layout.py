@@ -224,8 +224,11 @@ def read_cover(r: LineReader) -> list[list[int]]:
     rows = r.rows(r.expect("cover"))
     for i, row in enumerate(rows):
         if len(set(row)) < len(row):
-            twice = next(v for j, v in enumerate(row) if v in row[:j])
-            raise r.error(f"vertex {twice} listed twice", len(rows) - i)
+            seen: set[int] = set()
+            for v in row:
+                if v in seen:
+                    raise r.error(f"vertex {v} listed twice", len(rows) - i)
+                seen.add(v)
     return rows
 
 

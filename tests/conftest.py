@@ -1,38 +1,62 @@
-"""Shared test fixtures and independent brute-force oracles.
+"""Shared test fixtures and one independent oracle per layer.
 
-The oracles here deliberately avoid the library's search code paths:
-bandwidth is minimized over raw permutations, clique cover width over an
-independent restricted-growth partition enumeration crossed with part
-permutations, and the scalar parameters over plain subset enumeration.
-They anchor the solvers' expected values.  ``dfs_bandwidth`` and
-``enumerate_ccw`` are the exception: they keep the position-by-position
-bandwidth DFS and the definition-following partition-plus-quotient
-solver as witness oracles for the ordered-cover search, and
-``unpruned_ccw`` keeps that search as it was before its unbounded
-cliques had a fit prune and its k loop skipped 0 on non-cluster graphs.  Likewise
-``scan_insertion`` keeps the position-by-position insertion scan as the
-oracle for the one-pass insertion scoring of ``compose_covers``,
-``set_best_insertion`` keeps that scoring as it was on neighbor sets,
-before it walked the masks, and
-``zip_interleaved_sequence`` keeps the strip lists, enclosing-block
-search and zip-and-alternate pass as the oracle for the strip-key sort
-of ``composition._interleave``, whose key formula ``strip_keys`` keeps
-with its unit tests.  The set-based graph layer the bitmask one replaced
-stays as oracles too: ``set_adjacency`` builds adjacency sets from an
-edge list, ``neighbor_sets`` builds them from ``Graph.edges`` (never
-from the masks), ``sorted_edges`` lists edges by testing every pair,
-``edge_list_clique_sum`` glues two graphs by re-listing their edges,
-and ``set_validate_cover`` checks a cover pair by pair with the same
-reason strings.  ``sorted_cover`` is a cover's canonical form, its
-cliques as sorted tuples.
-``iter_clique_partitions`` enumerates every clique partition in
-canonical order, for ``enumerate_ccw`` and for the tests that walk all
-covers of a graph.  The ``scrambled_layout`` fixture swaps in an
+Each oracle computes what a library layer computes by a route that does
+not call that layer: raw permutations, plain subset enumeration, pair
+by pair checks or the definition itself.  By layer, the oracle and the
+test that uses it:
+
+* graph core (``graph.py``): ``set_adjacency`` builds neighbor sets
+  from an edge list and ``sorted_edges`` tests every pair's mask bit
+  (``test_graph.py::TestBitmaskCore::test_bits_build_matches_edge_list_build``);
+  ``edge_list_clique_sum`` glues two edge lists, numbering g2's
+  unshared vertices by the README rule
+  (``TestBitmaskCore::test_clique_sum_matches_edge_list_oracle``);
+  ``brute_clique_number`` and ``brute_star_number`` enumerate subsets
+  (``TestCliqueNumber``, ``TestStarNumber``).  ``neighbor_sets`` builds
+  neighbor sets from ``Graph.edges``, never from the masks, for the
+  oracles below.
+* layout (``layout.py``): ``set_validate_cover`` checks a cover pair by
+  pair with the same reason strings
+  (``test_layout.py::TestCoverValidation::test_same_first_problem_as_set_oracle``);
+  ``quotient_edges`` lists a cover's quotient edges
+  (``TestCoverGraph::test_matches_quotient_oracle``); ``sorted_edges``
+  anchors ``index_width`` (``test_index_width_matches_edge_list_oracle``).
+* bandwidth (``solvers.bandwidth_exact``): ``brute_bandwidth`` minimizes
+  over raw permutations (``TestBandwidthExact::test_matches_brute_force``);
+  ``dfs_bandwidth`` and ``feasible_ordering``, a position-by-position
+  DFS, give the lex-smallest witness (``test_bandwidth_matches_dfs``,
+  ``TestDecisionsAtEveryK``).
+* clique cover width (``solvers.ccw_exact``): ``brute_ccw`` crosses a
+  restricted-growth partition enumeration (``_all_clique_partitions``)
+  with part permutations (``TestCcwExact::test_matches_brute_force``);
+  ``enumerate_ccw`` solves the quotient bandwidth of every clique
+  partition for the lex-smallest witness
+  (``test_ccw_matches_partition_enumeration``); ``unpruned_ccw`` and
+  ``unpruned_cover_within`` are the ordered-cover search without its
+  fit prune, the only witness check above n = 8
+  (``test_ccw_matches_unpruned_search``,
+  ``test_ccw_decisions_match_unpruned_search_at_every_k``).
+  ``iter_clique_partitions`` lists every clique partition in canonical
+  order, for ``enumerate_ccw`` and the tests that walk all covers
+  (``TestIterCliquePartitions`` checks it against the partition
+  enumeration).
+* composition (``composition.py``): ``zip_interleaved_sequence``
+  builds the interleave from strip lists (``strips_around``), the
+  enclosing-block search (``locate_enclosing_block``) and a
+  zip-and-alternate pass (``interleave``)
+  (``test_composition.py::TestStripKeyInterleave::test_matches_zip_oracle``);
+  ``scan_insertion`` scores every insertion position by its widest edge
+  (``TestComposeCoversCorpus::test_best_insertion_matches_position_scan``);
+  ``quotient_edges`` with ``dfs_bandwidth`` checks the side-kept
+  fallback (``TestSideKeptFallback::test_achieved_is_the_narrower_side_kept_bandwidth``).
+
+Fixtures and corpora: ``sorted_cover`` is a cover's canonical form, its
+cliques as sorted tuples.  The ``scrambled_layout`` fixture swaps in an
 interleave that breaks the span guarantee, for the failing side of the
 edge-span check.  ``band_sum_instance`` glues two seeded banded sides
 with long covers, a regime the small random instances rarely reach,
-and ``wide_side_sum`` is a width-0 side whose whole-clique insertion
-misses the bound.
+``fallback_instance`` draws the ``fb-*`` corpora, and ``wide_side_sum``
+is a width-0 side whose whole-clique insertion misses the bound.
 """
 
 from __future__ import annotations
@@ -41,7 +65,7 @@ import dataclasses
 import itertools
 import random
 import warnings
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 import pytest
@@ -53,11 +77,9 @@ from ccwidth import (
     CoverCheck,
     Graph,
     OrderedCliqueCover,
-    clique_sum_map,
     cover_width,
     is_clique,
     random_clique_sum_instance,
-    sequence_width,
 )
 from ccwidth.generators import _cliques_of_size
 from ccwidth.solvers import _cliques_in_lex_order
@@ -332,79 +354,23 @@ def scan_insertion(
     Ties prefer the position nearest ``anchor`` (then the leftmost), so
     the regular geometry reproduces the natural middle placement and
     the result is deterministic.  Returns (width, compacted sequence).
+    Each candidate's width is its widest edge of ``g.edges()``.
     """
+    edges = g.edges()
     best_key: tuple[int, int, int] | None = None
     best_final: list[frozenset[int]] | None = None
     for q in range(len(raw) + 1):
         final = [cl for cl in raw[:q] if cl]
         final.append(item)
         final.extend(cl for cl in raw[q:] if cl)
-        width = sequence_width(g, final)
+        idx = {v: i for i, cl in enumerate(final) for v in cl}
+        width = max((abs(idx[u] - idx[v]) for u, v in edges), default=0)
         key = (width, abs(q - anchor), q)
         if best_key is None or key < best_key:
             best_key = key
             best_final = final
     assert best_key is not None and best_final is not None
     return best_key[0], best_final
-
-
-def set_best_insertion(
-    g: Graph,
-    raw: Sequence[frozenset[int]],
-    item: frozenset[int],
-    anchor: int,
-) -> tuple[int, list[frozenset[int]]]:
-    """The one-pass insertion scoring of ``compose_covers`` on neighbor sets.
-
-    Same scores, ties and result as the mask walk: the kept edges' widest
-    span M gives M + 1 at the gaps they cross and M elsewhere, and the
-    lowest and highest kept clique next to ``item`` bound its edges.
-    """
-    kept = [cl for cl in raw if cl]
-    index_of = {v: idx for idx, cl in enumerate(kept) for v in cl}
-    widest = 0
-    lefts: list[int] = []
-    lo, hi = len(kept), -1
-    for u, nbrs in enumerate(neighbor_sets(g)):
-        if not nbrs:
-            continue
-        if u in item:
-            for v in nbrs:
-                if v not in item:
-                    j = index_of[v]
-                    lo = min(lo, j)
-                    hi = max(hi, j)
-            continue
-        iu = index_of[u]
-        for v in nbrs:
-            if v > u and v not in item:
-                iv = index_of[v]
-                span = abs(iu - iv)
-                if span > widest:
-                    widest = span
-                    lefts = [min(iu, iv)]
-                elif span == widest:
-                    lefts.append(min(iu, iv))
-    crossings = [0] * (len(kept) + 1)
-    for i in lefts:
-        crossings[i + 1] += 1
-        crossings[i + widest + 1] -= 1
-    widths: list[int] = []
-    depth = 0
-    for p in range(len(kept) + 1):
-        depth += crossings[p]
-        width = widest + 1 if depth else widest
-        if lo < p:
-            width = max(width, p - lo)
-        if hi >= p:
-            width = max(width, hi + 1 - p)
-        widths.append(width)
-    kept_before = list(accumulate((bool(cl) for cl in raw), initial=0))
-    width, _, q = min(
-        (widths[p], abs(q - anchor), q) for q, p in enumerate(kept_before)
-    )
-    p = kept_before[q]
-    return width, kept[:p] + [item] + kept[p:]
 
 
 def set_adjacency(
@@ -439,11 +405,21 @@ def sorted_cover(c: OrderedCliqueCover) -> tuple[tuple[int, ...], ...]:
 
 
 def edge_list_clique_sum(g1: Graph, g2: Graph, shared: dict[int, int]) -> Graph:
-    """The clique sum rebuilt from both edge lists, g2's renumbered."""
-    mapping = clique_sum_map(g1, g2, shared)
+    """The clique sum rebuilt from both edge lists, g2's renumbered.
+
+    As the README states, g1's vertices keep their numbers, each shared
+    g2 vertex takes its g1 partner's, and the unshared g2 vertices follow
+    g1's in g2 order.
+    """
+    mapping = {v2: v1 for v1, v2 in shared.items()}
+    n = g1.n
+    for v in range(g2.n):
+        if v not in mapping:
+            mapping[v] = n
+            n += 1
     edges = sorted_edges(g1)
     edges.extend((mapping[u], mapping[v]) for u, v in sorted_edges(g2))
-    return Graph(g1.n + g2.n - len(shared), edges)
+    return Graph(n, edges)
 
 
 def set_validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck:
@@ -475,23 +451,6 @@ def set_validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck
                         f"{u} and {v} are not adjacent",
                     )
     return CoverCheck(True)
-
-
-def strip_keys(size: int, w: int, anchor: int) -> list[tuple[int, int]]:
-    """(strip, offset) of each of ``size`` cliques, by clique index.
-
-    Strip 0 is the block of ``w`` cliques starting at ``anchor``; strips
-    1, 2, ... follow it and strips -1, -2, ... precede it, each of ``w``
-    cliques except the outermost on a side, which holds what is left.
-    The offset is the clique's position inside its strip, so a short
-    outermost left strip counts from clique 0.  ``composition._interleave``
-    computes the same keys inline.
-    """
-    keys = []
-    for i in range(size):
-        strip = (i - anchor) // w
-        keys.append((strip, i - max(anchor + strip * w, 0)))
-    return keys
 
 
 def block_size(c: OrderedCliqueCover) -> int:

@@ -492,3 +492,18 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert "count" in err
+
+    def test_side_size_above_the_cap(self, capsys, monkeypatch):
+        """``--n-max`` above MAX_VERTICES is refused before any side is drawn."""
+
+        def unreachable(*args):
+            raise AssertionError("a side was built above the cap")
+
+        monkeypatch.setattr("ccwidth.generators.random_graph", unreachable)
+        args = ["experiment", "--n-max", str(MAX_VERTICES + 1), "--limit-ccw", "20000"]
+        assert run_cli(args, capsys=capsys) == (
+            1,
+            "",
+            f"error: side size range [3, {MAX_VERTICES + 1}] asks for "
+            f"{MAX_VERTICES + 1} vertices; at most {MAX_VERTICES} vertices allowed\n",
+        )

@@ -23,7 +23,6 @@ from ccwidth.layout import index_width
 from conftest import (
     graphs,
     iter_clique_partitions,
-    neighbor_sets,
     quotient_edges,
     random_graph_corpus,
     set_validate_cover,
@@ -208,27 +207,6 @@ class TestCoverGraph:
             q = cover_graph(OrderedCliqueCover(g, parts))
             assert q == Graph(len(parts), quotient_edges(g, parts))
             assert q.edges() == quotient_edges(g, parts)
-
-
-class TestBlockSeparation:
-    """Removing w consecutive cliques separates the left and right remainders."""
-
-    def test_exhaustive_on_random_covers(self):
-        for g in random_graph_corpus("separation", 40, 1, 6):
-            adj = neighbor_sets(g)
-            for parts in iter_clique_partitions(g):
-                c = OrderedCliqueCover(g, parts)
-                w = cover_width(c)
-                for start in range(c.size - w + 1):
-                    left = {
-                        v for cl in c.cliques[:start] for v in cl
-                    }
-                    right = {
-                        v for cl in c.cliques[start + w :] for v in cl
-                    }
-                    assert not any(
-                        v in adj[u] for u in left for v in right
-                    )
 
 
 class TestCoverFormat:

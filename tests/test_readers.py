@@ -259,6 +259,18 @@ class TestRepeatedCoverVertex:
         with pytest.raises(ValueError, match=message):
             parse_certificate("\n".join(lines) + "\n")
 
+    def test_long_row_is_one_error_line(self, tmp_path, capsys):
+        """The first repeat of a 200,000-entry row is found in one pass."""
+        row = " ".join(map(str, [*range(200_000), 123_456]))
+        cert = tmp_path / "cert.txt"
+        cert.write_text(f"1 0\ncover 1\n{row}\nw1 0\nw2 0\nbound 0\nachieved 0\n")
+        assert main(["verify", str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: certificate line 3: vertex 123456 listed twice, got {row!r}\n"
+        )
+
     def test_instance_bundle(self):
         text = _format_instance(path_sum_instance(1)).replace(
             "cover 3\n0\n", "cover 3\n0 0\n", 1
