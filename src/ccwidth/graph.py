@@ -214,6 +214,10 @@ def star_number(g: Graph) -> int:
     return max(_max_clique(non_nbrs, bits) for bits in g._bits)
 
 
+# The most characters of an offending line that a reader error quotes.
+_QUOTED_CHARS = 200
+
+
 class LineReader:
     """Cursor over the nonblank lines of one text input.
 
@@ -247,12 +251,18 @@ class LineReader:
         return self._lines[pos]
 
     def error(self, problem: str, back: int = 1) -> ValueError:
-        """A ``ValueError`` about the line read ``back`` lines ago (1: the last)."""
+        """A ``ValueError`` about the line read ``back`` lines ago (1: the last).
+
+        Quotes the line, or only its first ``_QUOTED_CHARS`` characters and
+        its length when it is longer, so the message stays one short line.
+        """
         pos = self._pos - back
         numbers = [i for i, line in enumerate(self._physical, 1) if line.strip()]
-        return ValueError(
-            f"{self.name} line {numbers[pos]}: {problem}, got {self._lines[pos]!r}"
-        )
+        line = self._lines[pos]
+        got = repr(line)
+        if len(line) > _QUOTED_CHARS:
+            got = f"{line[:_QUOTED_CHARS]!r}... ({len(line)} characters)"
+        return ValueError(f"{self.name} line {numbers[pos]}: {problem}, got {got}")
 
     def expect(self, keyword: str) -> int:
         """Read a ``keyword N`` line and return N, which must be >= 0."""

@@ -18,7 +18,7 @@ checker used on untrusted (e.g. file-loaded) clique lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, LineReader, _members
 
@@ -77,40 +77,61 @@ def validate_cover(g: Graph, cliques: Sequence[Iterable[int]]) -> CoverCheck:
     so a class is checked against one neighborhood mask per vertex.
     """
     n = g.n
+
+    def classes() -> Iterator[tuple[int, int | None]]:
+        for cl in cliques:
+            mask = 0
+            outside = None  # least vertex out of range
+            for v in cl:
+                if 0 <= v < n:
+                    mask |= 1 << v
+                elif outside is None or v < outside:
+                    outside = v
+            yield mask, outside
+
+    problem = _cover_problem(g, classes())
+    return CoverCheck(problem is None, problem)
+
+
+def _cover_problem(
+    g: Graph, classes: Iterable[tuple[int, int | None]]
+) -> str | None:
+    """The first problem :func:`validate_cover` names, None if there is none.
+
+    ``classes`` gives each class, in order, as the mask of its vertices
+    in range and its least vertex out of range (None if it has none).
+    """
+    n = g.n
     seen = 0
     masks = []
-    for pos, cl in enumerate(cliques):
-        mask = 0
-        outside = None  # least vertex out of range
-        for v in cl:
-            if 0 <= v < n:
-                mask |= 1 << v
-            elif outside is None or v < outside:
-                outside = v
+    for pos, (mask, outside) in enumerate(classes):
         dup = mask & seen
         # negative vertices sort before every in-range one, the rest after
         if outside is not None and (outside < 0 or not dup):
-            return CoverCheck(False, f"vertex {outside} out of range for n={n}")
+            return f"vertex {outside} out of range for n={n}"
         if not mask:
-            return CoverCheck(False, f"empty clique at position {pos}")
+            return f"empty clique at position {pos}"
         if dup:
-            return CoverCheck(False, f"duplicate vertex {_members(dup)[0]}")
+            return f"duplicate vertex {_members(dup)[0]}"
         seen |= mask
         masks.append(mask)
     uncovered = (1 << n) - 1 & ~seen
     if uncovered:
-        return CoverCheck(False, f"vertex {_members(uncovered)[0]} uncovered")
+        return f"vertex {_members(uncovered)[0]} uncovered"
     bits = g._bits
     for pos, mask in enumerate(masks):
-        for u in _members(mask):
-            missing = mask & ~bits[u] & -(2 << u)  # the vertices above u it misses
+        below_top = mask ^ (1 << mask.bit_length() - 1)  # the top has none above it
+        while below_top:
+            low = below_top & -below_top
+            below_top ^= low
+            u = low.bit_length() - 1
+            missing = mask & ~bits[u] & -(low << 1)  # the vertices above u it misses
             if missing:
-                return CoverCheck(
-                    False,
+                return (
                     f"class at position {pos} is not a clique: "
-                    f"{u} and {_members(missing)[0]} are not adjacent",
+                    f"{u} and {_members(missing)[0]} are not adjacent"
                 )
-    return CoverCheck(True)
+    return None
 
 
 class OrderedCliqueCover:
@@ -129,10 +150,29 @@ class OrderedCliqueCover:
         check = validate_cover(graph, materialized)
         if not check:
             raise ValueError(f"invalid clique cover: {check.reason}")
+        self._bind(graph, materialized)
+
+    @classmethod
+    def _from_masks(cls, graph: Graph, masks: Sequence[int]) -> OrderedCliqueCover:
+        """The cover whose cliques are the vertex bitmasks ``masks``, in order.
+
+        Checked as :func:`validate_cover` checks the vertex lists of the
+        masks; a bit at n or above is a vertex out of range.
+        """
+        n = graph.n
+        outside = (None if m >> n == 0 else n + _members(m >> n)[0] for m in masks)
+        problem = _cover_problem(graph, zip(masks, outside))
+        if problem is not None:
+            raise ValueError(f"invalid clique cover: {problem}")
+        cover = cls.__new__(cls)
+        cover._bind(graph, tuple(frozenset(_members(mask)) for mask in masks))
+        return cover
+
+    def _bind(self, graph: Graph, cliques: tuple[frozenset[int], ...]) -> None:
         self.graph = graph
-        self.cliques: tuple[frozenset[int], ...] = materialized
+        self.cliques: tuple[frozenset[int], ...] = cliques
         index_of = [0] * graph.n
-        for idx, cl in enumerate(materialized):
+        for idx, cl in enumerate(cliques):
             for v in cl:
                 index_of[v] = idx
         self._index_of: tuple[int, ...] = tuple(index_of)

@@ -22,7 +22,8 @@ ceil(maxdeg / 2) for bandwidth, and for ccw at 0 when every component
 is a clique and at 1 otherwise (ccw = 0 exactly on those graphs); the
 first k that succeeds is the width, and the first cover found is the
 lexicographically smallest optimal ordering or cover, so results are
-deterministic.
+deterministic.  A caller holding bounds on ccw (an experiment row does)
+decides only the k between them.  Witnesses are built from the bitmasks.
 
 Both solvers refuse graphs above a documented size limit unless the
 caller overrides it explicitly.
@@ -32,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .graph import Graph, _members, clique_number, star_number
+from .graph import Graph, clique_number, star_number
 from .layout import LinearOrdering, OrderedCliqueCover, format_cover, format_ordering
 
 DEFAULT_BW_LIMIT = 12
@@ -77,12 +78,12 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
         raise ValueError("bandwidth requires at least one vertex")
     _refuse_above(g.n, limit, "bandwidth")
     start = max(ceil(g.degree(v) / 2) for v in range(g.n))
-    value, cover = _least_width_cover(g, start, cap=1)
+    value, cover = _least_width_cover(g._bits, start, cap=1)
     return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
 
 
 def _cliques_in_lex_order(
-    nbrs: list[int],
+    nbrs: Sequence[int],
     cand: int,
     need: int,
     room: int,
@@ -119,7 +120,7 @@ def _cliques_in_lex_order(
         )
 
 
-def _spread_exceeds(nbrs: list[int], due: int, slots: int) -> bool:
+def _spread_exceeds(nbrs: Sequence[int], due: int, slots: int) -> bool:
     """Whether a greedy independent set of ``due`` has over ``slots`` vertices.
 
     Each clique holds at most one vertex of an independent set, so such
@@ -147,7 +148,7 @@ def _spread_exceeds(nbrs: list[int], due: int, slots: int) -> bool:
 
 
 def _ordered_cover_within(
-    nbrs: list[int], k: int, cap: int, max_failed: int | None = None
+    nbrs: Sequence[int], k: int, cap: int, max_failed: int | None = None
 ) -> list[int] | None:
     """First (lex-smallest) ordered clique cover of width <= k, as bitmasks.
 
@@ -243,18 +244,42 @@ def _ordered_cover_within(
     return None
 
 
-def _least_width_cover(g: Graph, start: int, cap: int) -> tuple[int, list[int]]:
-    """Least k >= start with an ordered cover of width <= k, and that cover."""
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+def _least_width_cover(
+    nbrs: Sequence[int], start: int, cap: int, stop: int | None = None
+) -> tuple[int, list[int] | None]:
+    """Least k >= start with an ordered cover of width <= k, and that cover.
+
+    With ``stop``, k stays below it: (stop, None) when no k in
+    [start, stop) succeeds, which is how a caller that already holds a
+    cover of width ``stop`` skips deciding it.
+    """
     k = start
     try:
-        while (cover := _ordered_cover_within(nbrs, k, cap)) is None:
+        while k != stop and (cover := _ordered_cover_within(nbrs, k, cap)) is None:
             k += 1
     except RecursionError:  # the search recurses once per clique placed
         raise ValueError(
-            f"graph has {g.n} vertices, beyond the exact search's recursion depth"
+            f"graph has {len(nbrs)} vertices, beyond the exact search's recursion depth"
         ) from None
-    return k, cover
+    return k, None if k == stop else cover
+
+
+def _ccw_between(
+    g: Graph, low: int = 0, high: int | None = None
+) -> tuple[int, OrderedCliqueCover | None]:
+    """ccw(g) and its witness, deciding only k from ``low`` up to below ``high``.
+
+    The caller vouches that low <= ccw(g) and, given ``high``, that
+    ccw(g) <= high.  The witness is None when no k below ``high``
+    succeeds, and the value is then ``high``.
+    """
+    # ccw = 0 exactly when every component is a clique, that is when each
+    # closed neighborhood equals that of the least vertex in it.
+    closed = [bits | 1 << v for v, bits in enumerate(g._bits)]
+    cluster = all(c == closed[(c & -c).bit_length() - 1] for c in closed)
+    start = max(low, 0 if cluster else 1)
+    value, cover = _least_width_cover(g._bits, start, g.n, high)
+    return value, None if cover is None else OrderedCliqueCover._from_masks(g, cover)
 
 
 def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
@@ -270,12 +295,7 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
     if g.n < 1:
         raise ValueError("clique cover width requires at least one vertex")
     _refuse_above(g.n, limit, "clique-cover")
-    # ccw = 0 exactly when every component is a clique, that is when each
-    # closed neighborhood equals that of the least vertex in it.
-    closed = [g.neighbor_bits(v) | 1 << v for v in range(g.n)]
-    cluster = all(c == closed[(c & -c).bit_length() - 1] for c in closed)
-    value, cover = _least_width_cover(g, 0 if cluster else 1, cap=g.n)
-    return CcwResult(value, OrderedCliqueCover(g, list(map(_members, cover))))
+    return CcwResult(*_ccw_between(g))
 
 
 @dataclass(frozen=True)

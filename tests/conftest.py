@@ -35,7 +35,14 @@ test that uses it:
   ``unpruned_cover_within`` are the ordered-cover search without its
   fit prune, the only witness check above n = 8
   (``test_ccw_matches_unpruned_search``,
-  ``test_ccw_decisions_match_unpruned_search_at_every_k``).
+  ``test_ccw_decisions_match_unpruned_search_at_every_k``); their
+  candidate cliques are ``lex_cliques``, every clique found by
+  ``combinations`` and sorted, not the library's clique generator.
+  ``validate_cover`` anchors the witnesses built from search bitmasks
+  (``test_layout.py::TestCoverValidation::test_masks_fail_as_validate_cover_does``).
+  The experiment's ``ccw_exact`` column is replayed through
+  ``ccw_exact`` and checked against its bounds
+  (``test_determinism.py::test_ccw_column_is_bracketed_and_exact``).
   ``iter_clique_partitions`` lists every clique partition in canonical
   order, for ``enumerate_ccw`` and the tests that walk all covers
   (``TestIterCliquePartitions`` checks it against the partition
@@ -62,6 +69,7 @@ is a width-0 side whose whole-clique insertion misses the bound.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 import warnings
@@ -82,7 +90,6 @@ from ccwidth import (
     random_clique_sum_instance,
 )
 from ccwidth.generators import _cliques_of_size
-from ccwidth.solvers import _cliques_in_lex_order
 
 T = TypeVar("T")
 
@@ -298,9 +305,44 @@ def enumerate_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return best_value, best_cover
 
 
-def unpruned_cover_within(nbrs: list[int], k: int) -> list[int] | None:
-    """First ordered clique cover of width <= k, with no fit prune."""
+@functools.cache
+def lex_cliques(nbrs: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Every clique of the graph as (mask, neighbor mask), in lex order.
+
+    ``nbrs`` are the neighborhood masks.  Takes ``combinations`` of the
+    vertices size by size, until a size has no clique, and sorts the
+    cliques as vertex tuples: (0), (0, 1), (0, 1, 2), (0, 2), (1), ...
+    Cached, since a test decides every k on one graph.
+    """
     n = len(nbrs)
+    found = []
+    for size in range(1, n + 1):
+        sized = [
+            clique
+            for clique in itertools.combinations(range(n), size)
+            if all(nbrs[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+        ]
+        if not sized:
+            break
+        found += sized
+    out = []
+    for clique in sorted(found):
+        mask = clique_nbrs = 0
+        for v in clique:
+            mask |= 1 << v
+            clique_nbrs |= nbrs[v]
+        out.append((mask, clique_nbrs))
+    return out
+
+
+def unpruned_cover_within(nbrs: list[int], k: int) -> list[int] | None:
+    """First ordered clique cover of width <= k, with no fit prune.
+
+    Each step tries, in lex order, the cliques of :func:`lex_cliques`
+    that lie in the unplaced set and hold what the leaving clique needs.
+    """
+    n = len(nbrs)
+    cliques = lex_cliques(tuple(nbrs))
     cover: list[int] = []
     failed: set[int] = set()
 
@@ -314,7 +356,9 @@ def unpruned_cover_within(nbrs: list[int], k: int) -> list[int] | None:
             return False
         leaving = 1 if k and len(window) == k else 0
         need = window[0] & unplaced if leaving else 0
-        for clique, clique_nbrs in _cliques_in_lex_order(nbrs, unplaced, need, n):
+        for clique, clique_nbrs in cliques:
+            if clique & ~unplaced or need & ~clique:
+                continue
             rest = unplaced & ~clique
             if k:
                 after = window[leaving:] + (clique_nbrs,)

@@ -26,8 +26,10 @@ generator calls that replaced it to the same bytes, exit codes and
 error lines.
 """
 
+import csv
 import dataclasses
 import hashlib
+import io
 import random
 from collections import Counter
 
@@ -40,6 +42,7 @@ from ccwidth import (
     OrderedCliqueCover,
     bandwidth_exact,
     ccw_exact,
+    clique_sum,
     compose_covers,
     cover_width,
     edge_span_claim_check,
@@ -220,6 +223,35 @@ def test_row_matches_public_replay(monkeypatch):
                 kinds["plain"] += 1
     routes = ("skipped", "empty-shared", "one-side-zero", "plain")
     assert min(kinds[route] for route in routes) >= 10
+
+
+@pytest.mark.parametrize("limit", [9, 16])
+def test_ccw_column_is_bracketed_and_exact(limit):
+    """The ccw_exact column is ccw_exact's value, within [max(w1, w2), achieved].
+
+    A row decides only the widths between those bounds, so both ends
+    must be reached: rows whose value is the lower end below the upper
+    one, and rows whose value is below the upper end.
+    """
+    configs = [
+        ExperimentConfig(count=200, seed=seed, ccw_limit=limit) for seed in range(4)
+    ]
+    configs.append(ExperimentConfig(kind="path-sum", count=4, ccw_limit=limit))
+    reached = Counter()
+    for cfg in configs:
+        for index, row in enumerate(csv.DictReader(io.StringIO(run_experiment(cfg)))):
+            if not row["ccw_exact"]:
+                continue
+            inst = ccwidth.experiment._instance(cfg, index)
+            composed = clique_sum(inst.g1, inst.g2, inst.shared)
+            value = int(row["ccw_exact"])
+            assert value == ccw_exact(composed, limit=limit).value, (cfg, index)
+            low = max(int(row["w1"]), int(row["w2"]))
+            high = int(row["achieved"])
+            assert low <= value <= high, (cfg, index)
+            reached["lower end"] += low == value < high
+            reached["below upper end"] += value < high
+    assert min(reached["lower end"], reached["below upper end"]) >= 10, reached
 
 
 def test_interleave_layout_digest():

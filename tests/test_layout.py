@@ -86,6 +86,37 @@ def mutated_covers(draw):
     return g, cliques
 
 
+@st.composite
+def mutated_masks(draw):
+    """A graph and a vertex partition as bitmasks after up to four edits.
+
+    The edits add a vertex placed elsewhere, insert an empty mask, set a
+    bit at n or above, clear a bit, or merge two masks, so a mask list
+    can overlap, be empty, go out of range, miss a vertex or hold a
+    class that is not a clique.
+    """
+    g = draw(graphs(max_n=7))
+    labels = draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
+    masks = [sum(1 << v for v in range(g.n) if labels[v] == k) for k in range(g.n + 1)]
+    masks = draw(st.permutations([mask for mask in masks if mask]))
+    edits = st.sampled_from(["overlap", "empty", "outside", "missing", "merge"])
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(edits)
+        if edit == "empty" or not masks:
+            masks.insert(draw(st.integers(0, len(masks))), 0)
+            continue
+        i = draw(st.integers(0, len(masks) - 1))
+        if edit == "overlap" and g.n:
+            masks[i] |= 1 << draw(st.integers(0, g.n - 1))
+        elif edit == "outside":
+            masks[i] |= 1 << draw(st.integers(g.n, g.n + 3))
+        elif edit == "missing" and masks[i]:
+            masks[i] &= ~(1 << draw(st.integers(0, masks[i].bit_length() - 1)))
+        elif edit == "merge" and len(masks) > 1:
+            masks[i - 1] |= masks.pop(i)
+    return g, masks
+
+
 class TestCoverValidation:
     def test_valid(self):
         assert validate_cover(path_graph(3), [{0, 1}, {2}]).ok
@@ -132,6 +163,29 @@ class TestCoverValidation:
     def test_same_first_problem_as_set_oracle(self, case):
         g, cliques = case
         assert validate_cover(g, cliques) == set_validate_cover(g, cliques)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mutated_masks())
+    @example(case=(path_graph(3), [0b011, 0b100]))
+    @example(case=(path_graph(3), [0b011, 0, 0b100]))
+    @example(case=(path_graph(3), [0b011, 0b110]))  # overlap
+    @example(case=(path_graph(3), [0b001, 0b1010, 0b100]))  # out of range after 1
+    @example(case=(path_graph(3), [0b0011, 0b1011]))  # the duplicate before 3
+    @example(case=(path_graph(3), [0b011]))  # uncovered
+    @example(case=(path_graph(3), [0b101, 0b010]))  # not a clique
+    def test_masks_fail_as_validate_cover_does(self, case):
+        """A cover built from masks raises exactly when ``validate_cover`` fails."""
+        g, masks = case
+        cliques = [[v for v in range(m.bit_length()) if m >> v & 1] for m in masks]
+        check = validate_cover(g, cliques)
+        if check:
+            cover = OrderedCliqueCover._from_masks(g, masks)
+            assert cover == OrderedCliqueCover(g, cliques)
+            assert cover_width(cover) == cover_width(OrderedCliqueCover(g, cliques))
+        else:
+            with pytest.raises(ValueError) as info:
+                OrderedCliqueCover._from_masks(g, masks)
+            assert str(info.value) == f"invalid clique cover: {check.reason}"
 
 
 class TestCoverWidth:

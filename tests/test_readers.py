@@ -10,6 +10,7 @@ an error still names its physical line and that a huge row count
 allocates nothing in proportion to it.
 """
 
+import functools
 import random
 import tracemalloc
 
@@ -47,21 +48,29 @@ def _instances():
     yield random_clique_sum_instance(random.Random("readers"), n_hi=6)
 
 
+@functools.cache
 def _samples():
-    """(reader name, valid text, reader) triples over a few instances."""
+    """(reader name, valid text, reader) triples over a few instances.
+
+    Built on first use, not at import, so a library fault fails the
+    tests that use them one by one instead of the module's collection.
+    """
+    samples = []
     for inst in _instances():
         g1 = inst.g1
         cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
         ordering = bandwidth_exact(g1).witness
-        yield "edge list", format_edge_list(g1), parse_edge_list
-        yield "cover", format_cover(inst.c1.cliques), lambda t, g=g1: parse_cover(t, g)
-        yield "ordering", format_ordering(ordering), parse_ordering
-        yield "certificate", format_certificate(cert), parse_certificate
-        yield "instance bundle", _format_instance(inst), _parse_instance
+        samples += [
+            ("edge list", format_edge_list(g1), parse_edge_list),
+            ("cover", format_cover(inst.c1.cliques), lambda t, g=g1: parse_cover(t, g)),
+            ("ordering", format_ordering(ordering), parse_ordering),
+            ("certificate", format_certificate(cert), parse_certificate),
+            ("instance bundle", _format_instance(inst), _parse_instance),
+        ]
+    return samples
 
 
-SAMPLES = list(_samples())
-READERS = sorted({name for name, _, _ in SAMPLES})
+READERS = ("certificate", "cover", "edge list", "instance bundle", "ordering")
 TOKENS = st.one_of(
     st.integers(-3, 64).map(str),
     st.integers(MAX_VERTICES, 10**12).map(str),
@@ -72,7 +81,7 @@ TOKENS = st.one_of(
 @st.composite
 def _mutated(draw, reader):
     """A valid file of ``reader``'s format after one to three edits."""
-    text = draw(st.sampled_from([t for name, t, _ in SAMPLES if name == reader]))
+    text = draw(st.sampled_from([t for name, t, _ in _samples() if name == reader]))
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.booleans()):
             text = text[: draw(st.integers(0, len(text)))]
@@ -97,7 +106,7 @@ def _mutated(draw, reader):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_input_parses_or_raises_value_error(reader, data):
-    read = next(r for name, _, r in SAMPLES if name == reader)
+    read = next(r for name, _, r in _samples() if name == reader)
     text = data.draw(_mutated(reader))
     try:
         read(text)
@@ -267,9 +276,19 @@ class TestRepeatedCoverVertex:
         assert main(["verify", str(cert)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
+        # the quote stops after 200 characters and names the line's length
         assert err == (
-            f"error: certificate line 3: vertex 123456 listed twice, got {row!r}\n"
+            "error: certificate line 3: vertex 123456 listed twice, got "
+            f"{row[:200]!r}... ({len(row)} characters)\n"
         )
+
+    @pytest.mark.parametrize("length", [200, 201])
+    def test_quote_is_cut_above_200_characters(self, length):
+        row = "1 1 " + "2" * (length - 4)  # vertex 1 twice, then one long entry
+        got = repr(row) if length == 200 else f"{row[:200]!r}... (201 characters)"
+        with pytest.raises(ValueError) as info:
+            parse_cover(f"cover 1\n{row}\n", Graph(3))
+        assert str(info.value) == f"cover line 2: vertex 1 listed twice, got {got}"
 
     def test_instance_bundle(self):
         text = _format_instance(path_sum_instance(1)).replace(
