@@ -170,6 +170,13 @@ def _clique_sum(
     return Graph._from_bits(bits), mapping
 
 
+def _too_deep(n: int) -> ValueError:
+    """The error of an exact search that recursed past Python's limit."""
+    return ValueError(
+        f"graph has {n} vertices, beyond the exact search's recursion depth"
+    )
+
+
 def _max_clique(nbrs: Sequence[int], cand: int) -> int:
     """Size of a largest clique inside the vertex bitmask ``cand``.
 
@@ -182,13 +189,16 @@ def _max_clique(nbrs: Sequence[int], cand: int) -> int:
         if size > best:
             best = size
         while cand:
-            if size + bin(cand).count("1") <= best:
+            if size + cand.bit_count() <= best:
                 return
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             extend(cand & nbrs[v], size + 1)
 
-    extend(cand, 0)
+    try:
+        extend(cand, 0)
+    except RecursionError:  # the search recurses once per vertex added
+        raise _too_deep(len(nbrs)) from None
     return best
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Iterator, Sequence
 
-from .graph import Graph, clique_number, star_number
+from .graph import Graph, _too_deep, clique_number, star_number
 from .layout import LinearOrdering, OrderedCliqueCover, format_cover, format_ordering
 
 DEFAULT_BW_LIMIT = 12
@@ -77,7 +77,7 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
     if g.n < 1:
         raise ValueError("bandwidth requires at least one vertex")
     _refuse_above(g.n, limit, "bandwidth")
-    start = max(ceil(g.degree(v) / 2) for v in range(g.n))
+    start = ceil(max(bits.bit_count() for bits in g._bits) / 2)
     value, cover = _least_width_cover(g._bits, start, cap=1)
     return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
 
@@ -222,7 +222,19 @@ def _ordered_cover_within(
             return False
         leaving = 1 if k and len(window) == k else 0
         need = window[0] & unplaced if leaving else 0
-        for clique, clique_nbrs in _cliques_in_lex_order(nbrs, unplaced, need, cap):
+        if cap == 1:
+            # One-vertex cliques skip the generator.  A needed vertex is the
+            # only candidate: the fit check above already cut every window
+            # whose leaving entry has two or more unplaced neighbors.
+            candidates = []
+            pick = need or unplaced
+            while pick:
+                low = pick & -pick
+                pick ^= low
+                candidates.append((low, nbrs[low.bit_length() - 1]))
+        else:
+            candidates = _cliques_in_lex_order(nbrs, unplaced, need, cap)
+        for clique, clique_nbrs in candidates:
             rest = unplaced & ~clique
             if k:
                 after = window[leaving:] + (clique_nbrs,)
@@ -258,9 +270,7 @@ def _least_width_cover(
         while k != stop and (cover := _ordered_cover_within(nbrs, k, cap)) is None:
             k += 1
     except RecursionError:  # the search recurses once per clique placed
-        raise ValueError(
-            f"graph has {len(nbrs)} vertices, beyond the exact search's recursion depth"
-        ) from None
+        raise _too_deep(len(nbrs)) from None
     return k, None if k == stop else cover
 
 

@@ -25,6 +25,7 @@ test that uses it:
   over raw permutations (``TestBandwidthExact::test_matches_brute_force``);
   ``dfs_bandwidth`` and ``feasible_ordering``, a position-by-position
   DFS, give the lex-smallest witness (``test_bandwidth_matches_dfs``,
+  ``test_bandwidth_matches_dfs_above_ten_vertices``,
   ``TestDecisionsAtEveryK``).
 * clique cover width (``solvers.ccw_exact``): ``brute_ccw`` crosses a
   restricted-growth partition enumeration (``_all_clique_partitions``)
@@ -715,13 +716,15 @@ def brute_star_number(g: Graph) -> int:
     return best
 
 
-def random_graph_corpus(seed: str, count: int, n_lo: int, n_hi: int):
+def random_graph_corpus(
+    seed: str, count: int, n_lo: int, n_hi: int, p_lo: float = 0.15, p_hi: float = 0.85
+):
     """Seeded list of random graphs for cross-checking corpora."""
     out = []
     for i in range(count):
         rng = random.Random(f"{seed}-{i}")
         n = rng.randint(n_lo, n_hi)
-        p = rng.uniform(0.15, 0.85)
+        p = rng.uniform(p_lo, p_hi)
         edges = [
             (u, v)
             for u in range(n)

@@ -13,6 +13,7 @@ from ccwidth import (
     path_graph,
     path_sum_instance,
     run_experiment,
+    star_graph,
 )
 from ccwidth.cli import main
 from ccwidth.graph import MAX_VERTICES
@@ -202,6 +203,14 @@ class TestSearchDepth:
                 args, stdin_text=text, capsys=capsys, monkeypatch=monkeypatch
             )
             assert result == (1, "", self.ERROR)
+
+    def test_star_of_many_leaves(self, capsys, monkeypatch):
+        # The induced star search recurses once per leaf it adds.
+        text = format_edge_list(star_graph(1200))
+        result = run_cli(
+            ["star", "-"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch
+        )
+        assert result == (1, "", self.ERROR)
 
     def test_experiment_marks_row_skipped(self, capsys):
         code, out, _ = run_cli(

@@ -94,6 +94,15 @@ def test_bandwidth_matches_dfs(g):
     assert (r.value, list(r.witness.order)) == dfs_bandwidth(g)
 
 
+@pytest.mark.parametrize("n", [11, 12, 13])
+def test_bandwidth_matches_dfs_above_ten_vertices(n):
+    # The hypothesis test above stops at n = 10; the DFS oracle answers
+    # these 20 graphs per n in about two seconds for all three n.
+    for g in random_graph_corpus(f"bw-dfs-{n}", 20, n, n, p_hi=0.65):
+        r = bandwidth_exact(g, limit=13)
+        assert (r.value, list(r.witness.order)) == dfs_bandwidth(g), g.edges()
+
+
 def _decide_every_k(g):
     """Check the bounded search against the DFS oracle at each k in 0..n-1."""
     nbrs = [g.neighbor_bits(v) for v in range(g.n)]
