@@ -53,6 +53,8 @@ Degenerate widths take documented detours:
 Every certificate is re-checkable: the verifier revalidates the cover
 and its achieved width from scratch and ties the bound to the recorded
 input widths, which the certificate file carries but cannot prove.
+The edge-span check right after a compose of the same cover objects
+reuses that compose's interleave.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .graph import (
 from .layout import (
     CoverCheck,
     OrderedCliqueCover,
+    _clique_index,
     cover_graph,
     cover_width,
     format_cover,
@@ -132,6 +135,14 @@ def _interleave(
     )
 
 
+# The last interleave compose built, as (c1, c2, copy of shared, layout),
+# stored once the shared clique has been validated.  A span check of the
+# same cover objects with an equal shared map reuses the layout and the
+# validation.  Covers never change, so the entry cannot go stale, and it
+# is replaced as one tuple, so a reader never sees a torn entry.
+_last_interleave: tuple = (None, None, None, None)
+
+
 @dataclass(frozen=True)
 class WidthCertificate:
     """A composed cover plus the width bound it promises.
@@ -153,10 +164,11 @@ def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
     """Width of a clique sequence by position.
 
     Empty entries occupy an index but carry no edges; compose and the
-    verifier pass sequences without any.
+    verifier pass sequences without any.  Every vertex of g must lie in
+    an entry.
     """
-    index_of = {v: idx for idx, cl in enumerate(cliques) for v in cl}
-    return index_width(g, index_of)
+    # an uncovered endpoint fails the subtraction instead of reading 0
+    return index_width(g, _clique_index(g.n, cliques, None))
 
 
 def _best_insertion(
@@ -178,8 +190,8 @@ def _best_insertion(
     reproduces the natural middle placement and the result is
     deterministic.  Returns (width, compacted sequence).
     """
-    kept = [cl for cl in raw if cl]
-    index_of = {v: idx for idx, cl in enumerate(kept) for v in cl}
+    kept = [*filter(None, raw)]
+    index_of = _clique_index(g.n, kept)  # the item's vertices are never looked up
     bits = g._bits
     inside = touching = 0
     for v in item:
@@ -216,7 +228,7 @@ def _best_insertion(
         if hi >= p:
             width = max(width, hi + 1 - p)
         widths.append(width)
-    kept_before = list(accumulate((bool(cl) for cl in raw), initial=0))
+    kept_before = [*accumulate(map(bool, raw), initial=0)]
     width, _, q = min(
         (widths[p], abs(q - anchor), q) for q, p in enumerate(kept_before)
     )
@@ -307,23 +319,12 @@ def compose_covers(
     except in the documented degenerate regimes (empty shared set:
     bound max(w1, w2); both widths zero: bound 1).
     Raises ``ValueError`` rather than return a cover above that bound.
-    """
-    return _compose(g1, c1, g2, c2, shared)[0]
-
-
-def _compose(
-    g1: Graph,
-    c1: OrderedCliqueCover,
-    g2: Graph,
-    c2: OrderedCliqueCover,
-    shared: dict[int, int],
-) -> tuple[WidthCertificate, InterleaveLayout | None]:
-    """:func:`compose_covers`, plus the interleave it built (None if none).
 
     ``achieved`` comes from the construction: the best insertion's
     width, the fallback order's width, or max(w1, w2) for the disjoint
     union; :func:`verify_certificate` stays the independent check.
     """
+    global _last_interleave
     if c1.graph != g1:
         raise ValueError("c1 does not cover g1")
     if c2.graph != g2:
@@ -331,12 +332,11 @@ def _compose(
     composed, g2_map = _clique_sum(g1, g2, shared)  # validates the shared clique
     sides = (
         c1.cliques,
-        tuple(frozenset(g2_map[v] for v in cl) for cl in c2.cliques),
+        tuple(frozenset(map(g2_map.__getitem__, cl)) for cl in c2.cliques),
     )
     S = frozenset(shared)
     w1 = cover_width(c1)
     w2 = cover_width(c2)
-    layout = None
     if not shared:
         final = sides[0] + sides[1]
         bound = width = max(w1, w2)
@@ -347,6 +347,7 @@ def _compose(
             raw, item, anchor = _one_sided_zero_parts(zero, wide, S)
         else:
             layout = _interleave(c1, c2, shared)
+            _last_interleave = (c1, c2, dict(shared), layout)
             # The S-clique goes in by _best_insertion; when that misses the
             # bound, the fallback below drops this skeleton.
             raw = [sides[src - 1][idx] - S for src, idx in layout.seq]
@@ -358,7 +359,7 @@ def _compose(
         if width > bound:
             final = _side_kept_order(composed, sides, S, bound, width)
             width = sequence_width(composed, final)
-    return WidthCertificate(composed, tuple(final), w1, w2, bound, width), layout
+    return WidthCertificate(composed, tuple(final), w1, w2, bound, width)
 
 
 def verify_certificate(cert: WidthCertificate) -> CoverCheck:
@@ -437,23 +438,10 @@ def edge_span_claim_check(
     """
     if c1.graph != g1 or c2.graph != g2:
         raise ValueError("covers do not match their graphs")
-    check_shared_clique(g1, g2, shared)
-    return _span_check(g1, c1, g2, c2, shared, None)
-
-
-def _span_check(
-    g1: Graph,
-    c1: OrderedCliqueCover,
-    g2: Graph,
-    c2: OrderedCliqueCover,
-    shared: dict[int, int],
-    layout: InterleaveLayout | None,
-) -> SpanCheck:
-    """:func:`edge_span_claim_check` on checked inputs.
-
-    Reuses ``layout``, the interleave compose built for the same inputs,
-    and builds one when compose built none.
-    """
+    last_c1, last_c2, last_shared, layout = _last_interleave
+    if not (c1 is last_c1 and c2 is last_c2 and shared == last_shared):
+        check_shared_clique(g1, g2, shared)
+        layout = None
     w1 = cover_width(c1)
     w2 = cover_width(c2)
     if w1 + w2 == 0 or not shared:
@@ -498,7 +486,7 @@ def format_certificate(cert: WidthCertificate) -> str:
 def read_certificate(r: LineReader) -> WidthCertificate:
     """Certificate block: edge list, cover, then the four width lines."""
     graph = read_edge_list(r)
-    cliques = tuple(frozenset(row) for row in read_cover(r))
+    cliques = tuple(map(frozenset, read_cover(r)))
     widths = (r.expect(key) for key in ("w1", "w2", "bound", "achieved"))
     return WidthCertificate(graph, cliques, *widths)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .graph import Graph
 from .layout import OrderedCliqueCover, cover_width
@@ -79,28 +80,42 @@ def path_sum_instance(t: int) -> CliqueSumInstance:
 MAX_ATTEMPTS = 1000
 
 
-def _cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """Every k-clique of ``g`` as a sorted tuple, in lex order.
+def _count_cliques(nbrs: Sequence[int], cand: int, k: int) -> int:
+    """Number of k-cliques inside the vertex bitmask ``cand``.
 
-    Grows each clique by a common neighbor above its largest vertex, in
-    increasing order, so the list is ``combinations(range(g.n), k)``
-    filtered to cliques.
+    ``nbrs[v]`` is v's neighborhood mask; each clique is counted once,
+    from its lowest vertex, and the last vertex is a popcount.
     """
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
-    out: list[tuple[int, ...]] = []
+    if k <= 1:
+        return cand.bit_count() if k else 1
+    total = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        total += _count_cliques(nbrs, cand & nbrs[low.bit_length() - 1], k - 1)
+    return total
 
-    def grow(clique: tuple[int, ...], cand: int) -> None:
-        if len(clique) == k:
-            out.append(clique)
-            return
-        while cand:
+
+def _nth_clique(nbrs: Sequence[int], k: int, index: int) -> tuple[int, ...]:
+    """The k-clique at ``index`` of ``combinations(range(n), k)`` filtered to cliques.
+
+    Skips whole subtrees of the lex-order clique search by their counts,
+    so only the chosen clique is built.
+    """
+    clique: list[int] = []
+    cand = (1 << len(nbrs)) - 1
+    for left in range(k, 0, -1):
+        while True:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            grow(clique + (v,), cand & nbrs[v])
-
-    grow((), (1 << g.n) - 1)
-    return out
+            below = _count_cliques(nbrs, cand & nbrs[v], left - 1)
+            if index < below:
+                break
+            index -= below
+        clique.append(v)
+        cand &= nbrs[v]
+    return tuple(clique)
 
 
 def random_clique_sum_instance(
@@ -138,11 +153,13 @@ def random_clique_sum_instance(
             continue
         # Every vertex is a 1-clique, so the loop always breaks.
         for k in range(rng.randint(1, min(shared_max, g1.n, g2.n)), 0, -1):
-            q1, q2 = _cliques_of_size(g1, k), _cliques_of_size(g2, k)
+            q1 = _count_cliques(g1._bits, (1 << g1.n) - 1, k)
+            q2 = _count_cliques(g2._bits, (1 << g2.n) - 1, k)
             if q1 and q2:
                 break
-        side1 = list(rng.choice(q1))
-        side2 = list(rng.choice(q2))
+        # choice over a range draws as choice over the list of k-cliques would
+        side1 = list(_nth_clique(g1._bits, k, rng.choice(range(q1))))
+        side2 = list(_nth_clique(g2._bits, k, rng.choice(range(q2))))
         rng.shuffle(side2)
         shared = dict(zip(side1, side2))
         return CliqueSumInstance(g1=g1, c1=c1, g2=g2, c2=c2, shared=shared)

@@ -79,7 +79,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(bits.bit_count() for bits in self._bits) // 2
+        return sum(map(int.bit_count, self._bits)) // 2
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -162,11 +162,20 @@ def _clique_sum(
     """:func:`clique_sum` and :func:`clique_sum_map`, checking ``shared`` once."""
     check_shared_clique(g1, g2, shared)
     mapping = clique_sum_map(g1, g2, shared)
-    bit = [1 << mapping[v2] for v2 in range(g2.n)]
+    # A g2 mask is translated whole: each shared bit becomes its g1 bit and
+    # its position is cut out, highest first so that the lower ones stay
+    # put; the unshared bits left are then in order, shifted past g1.
+    cuts = sorted(
+        ((v2, (1 << v2) - 1, 1 << v1) for v1, v2 in shared.items()), reverse=True
+    )
     bits = [*g1._bits, *[0] * (g2.n - len(shared))]
-    for v2, nbrs in enumerate(g2._bits):  # the shared clique's edges are g1's already
-        # distinct g2 vertices have distinct bits, so the sum is their union
-        bits[mapping[v2]] |= sum(bit[w] for w in _members(nbrs))
+    for v2, mask in enumerate(g2._bits):  # the shared clique's edges are g1's already
+        glued = 0
+        for pos, below, bit1 in cuts:
+            if mask >> pos & 1:
+                glued |= bit1
+            mask = mask & below | mask >> pos + 1 << pos
+        bits[mapping[v2]] |= glued | mask << g1.n
     return Graph._from_bits(bits), mapping
 
 
@@ -244,7 +253,7 @@ class LineReader:
     def __init__(self, text: str, name: str):
         self.name = name
         self._physical = text.splitlines()
-        self._lines = [line for line in self._physical if line.strip()]
+        self._lines = [*filter(str.strip, self._physical)]
         self._pos = 0  # index of the next kept line; the last one read is _pos - 1
 
     def _early(self, wanted: str) -> ValueError:
@@ -307,12 +316,10 @@ class LineReader:
         start = self._pos
         lines = self._lines[start : start + count]
         try:
-            rows = [list(map(int, line.split())) for line in lines]
+            rows = [[*map(int, line.split())] for line in lines]
         except ValueError:
             rows = []
-        if len(rows) == count and (
-            width is None or all(len(row) == width for row in rows)
-        ):
+        if len(rows) == count and (width is None or {*map(len, rows)} <= {width}):
             self._pos = start + count
             return rows
         for _ in lines:
@@ -323,7 +330,12 @@ class LineReader:
 def format_edge_list(g: Graph) -> str:
     """Edge-list text format: "n m" then one "u v" line per edge, sorted."""
     lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    for u, bits in enumerate(g._bits):
+        above = bits & -(2 << u)  # each edge once, from its lower end
+        while above:
+            low = above & -above
+            above ^= low
+            lines.append(f"{u} {low.bit_length() - 1}")
     return "\n".join(lines) + "\n"
 
 

@@ -146,7 +146,7 @@ class OrderedCliqueCover:
     __slots__ = ("graph", "cliques", "_index_of", "_width")
 
     def __init__(self, graph: Graph, cliques: Sequence[Iterable[int]]):
-        materialized = tuple(frozenset(cl) for cl in cliques)
+        materialized = tuple(map(frozenset, cliques))
         check = validate_cover(graph, materialized)
         if not check:
             raise ValueError(f"invalid clique cover: {check.reason}")
@@ -171,11 +171,7 @@ class OrderedCliqueCover:
     def _bind(self, graph: Graph, cliques: tuple[frozenset[int], ...]) -> None:
         self.graph = graph
         self.cliques: tuple[frozenset[int], ...] = cliques
-        index_of = [0] * graph.n
-        for idx, cl in enumerate(cliques):
-            for v in cl:
-                index_of[v] = idx
-        self._index_of: tuple[int, ...] = tuple(index_of)
+        self._index_of: tuple[int, ...] = tuple(_clique_index(graph.n, cliques))
         self._width: int | None = None
 
     @property
@@ -193,6 +189,17 @@ class OrderedCliqueCover:
 
     def __repr__(self) -> str:
         return f"OrderedCliqueCover({[sorted(c) for c in self.cliques]})"
+
+
+def _clique_index(
+    n: int, cliques: Iterable[Iterable[int]], missing: int | None = 0
+) -> list:
+    """Each vertex's position in ``cliques``, ``missing`` for one in none."""
+    index_of = [missing] * n
+    for idx, cl in enumerate(cliques):
+        for v in cl:
+            index_of[v] = idx
+    return index_of
 
 
 def index_width(g: Graph, index: Sequence[int] | dict[int, int]) -> int:
@@ -249,9 +256,8 @@ def cover_graph(c: OrderedCliqueCover) -> Graph:
 
 def format_cover(cliques: Sequence[Iterable[int]]) -> str:
     """Cover text format: "cover N", then one sorted vertex line per clique."""
-    rows = [sorted(cl) for cl in cliques]
-    lines = [f"cover {len(rows)}"]
-    lines.extend(" ".join(str(v) for v in row) for row in rows)
+    lines = [f"cover {len(cliques)}"]
+    lines.extend(" ".join(map(str, sorted(cl))) for cl in cliques)
     return "\n".join(lines) + "\n"
 
 
@@ -262,8 +268,8 @@ def read_cover(r: LineReader) -> list[list[int]]:
     back as it was read.
     """
     rows = r.rows(r.expect("cover"))
-    for i, row in enumerate(rows):
-        if len(set(row)) < len(row):
+    if sum(map(len, map(set, rows))) < sum(map(len, rows)):  # a row repeats
+        for i, row in enumerate(rows):
             seen: set[int] = set()
             for v in row:
                 if v in seen:

@@ -90,7 +90,7 @@ from ccwidth import (
     is_clique,
     random_clique_sum_instance,
 )
-from ccwidth.generators import _cliques_of_size
+from ccwidth.generators import _count_cliques, _nth_clique
 
 T = TypeVar("T")
 
@@ -609,9 +609,12 @@ def scrambled_layout(monkeypatch):
     """Make the interleave return ``SCRAMBLED_SEQ`` as its sequence.
 
     Patches ``composition._interleave``, the one interleave that compose
-    and the span check build their layout with.
+    and the span check build their layout with, and empties the layout
+    a compose left for the span check, so none built before the patch
+    is reused under it and none built under it outlives the test.
     """
     real = ccwidth.composition._interleave
+    monkeypatch.setattr(ccwidth.composition, "_last_interleave", (None,) * 4)
 
     def scrambled(c1, c2, shared):
         return dataclasses.replace(real(c1, c2, shared), seq=SCRAMBLED_SEQ)
@@ -655,11 +658,12 @@ def band_sum_instance(
     g1, c1 = band_side(rng, rng.randint(t_lo, t_hi), w)
     g2, c2 = band_side(rng, rng.randint(t_lo, t_hi), w)
     for k in range(rng.randint(1, min(shared_max, g1.n, g2.n)), 0, -1):
-        q1, q2 = _cliques_of_size(g1, k), _cliques_of_size(g2, k)
+        q1 = _count_cliques(g1._bits, (1 << g1.n) - 1, k)
+        q2 = _count_cliques(g2._bits, (1 << g2.n) - 1, k)
         if q1 and q2:
             break
-    side1 = list(rng.choice(q1))
-    side2 = list(rng.choice(q2))
+    side1 = list(_nth_clique(g1._bits, k, rng.choice(range(q1))))
+    side2 = list(_nth_clique(g2._bits, k, rng.choice(range(q2))))
     rng.shuffle(side2)
     return CliqueSumInstance(g1, c1, g2, c2, dict(zip(side1, side2)))
 

@@ -532,6 +532,109 @@ class TestEdgeSpanClaimCheck:
             assert check.ok, check
 
 
+def _fresh_copies(inst):
+    """The instance's arguments with new, equal cover objects."""
+    c1 = OrderedCliqueCover(inst.g1, inst.c1.cliques)
+    c2 = OrderedCliqueCover(inst.g2, inst.c2.cliques)
+    return inst.g1, c1, inst.g2, c2, dict(inst.shared)
+
+
+class TestInterleaveReuse:
+    """A span check right after a compose of the same objects reuses its layout."""
+
+    @pytest.fixture
+    def interleaves(self, monkeypatch):
+        """Count the interleaves built."""
+        calls = []
+        real = ccwidth.composition._interleave
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ccwidth.composition, "_interleave", counted)
+        return calls
+
+    def test_check_after_compose_equals_fresh_check(self, interleaves):
+        reused = 0
+        for inst in _instances("reuse", 150):
+            args = (inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+            before = len(interleaves)
+            compose_covers(*args)
+            built = len(interleaves)
+            check = edge_span_claim_check(*args)
+            if built > before:  # no second interleave
+                assert len(interleaves) == built
+                reused += 1
+            assert check == edge_span_claim_check(*_fresh_copies(inst))
+        assert reused > 100
+
+    def test_other_shared_map_recomputes(self, interleaves):
+        inst = path_sum_instance(3)
+        g, c = inst.g1, inst.c1
+        compose_covers(g, c, g, c, {3: 3})
+        other = {2: 4}
+        assert _interleave(c, c, other) != _interleave(c, c, {3: 3})
+        built = len(interleaves)
+        check = edge_span_claim_check(g, c, g, c, other)
+        assert len(interleaves) == built + 1
+        assert check == edge_span_claim_check(*_fresh_copies(inst)[:4], other)
+
+    def test_map_mutated_after_compose_recomputes(self, interleaves):
+        inst = path_sum_instance(3)
+        g, c = inst.g1, inst.c1
+        shared = {3: 3}
+        compose_covers(g, c, g, c, shared)
+        shared[2] = 2  # still a clique on both sides
+        built = len(interleaves)
+        check = edge_span_claim_check(g, c, g, c, shared)
+        assert len(interleaves) == built + 1
+        assert check == edge_span_claim_check(*_fresh_copies(inst)[:4], shared)
+
+    @pytest.mark.parametrize(
+        "shared, message",
+        [
+            ({0: 0, 3: 3}, "not induce a clique in the first"),
+            ({3: 9}, "vertex 9 out of range for n=7"),
+            ({2: 3, 3: 3}, "map must be injective"),
+        ],
+        ids=["not-a-clique", "out-of-range", "not-injective"],
+    )
+    def test_invalid_map_after_compose_raises(self, shared, message):
+        inst = path_sum_instance(3)
+        g, c = inst.g1, inst.c1
+        compose_covers(g, c, g, c, {3: 3})
+        with pytest.raises(ValueError, match=message):
+            edge_span_claim_check(g, c, g, c, shared)
+        # a compose that rejects the map leaves nothing for the check to reuse
+        for call in (compose_covers, edge_span_claim_check):
+            with pytest.raises(ValueError, match=message):
+                call(g, c, g, c, shared)
+
+    def test_swapped_covers(self):
+        for inst in _instances("reuse-swap", 60, min_total_width=1):
+            compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+            inverse = {v2: v1 for v1, v2 in inst.shared.items()}
+            check = edge_span_claim_check(inst.g2, inst.c2, inst.g1, inst.c1, inverse)
+            g1, c1, g2, c2, _ = _fresh_copies(inst)
+            assert check == edge_span_claim_check(g2, c2, g1, c1, inverse)
+
+    def test_one_side_zero_after_another_compose(self, interleaves):
+        p5 = path_graph(5)
+        wide = OrderedCliqueCover(p5, [{0}, {1}, {2}, {3}, {4}])
+        compose_covers(p5, wide, p5, wide, {2: 2})  # leaves its layout
+        k3 = complete_graph(3)
+        zero = OrderedCliqueCover(k3, [{0, 1, 2}])
+        built = len(interleaves)
+        compose_covers(k3, zero, p5, wide, {0: 2})  # one side of width 0
+        assert len(interleaves) == built
+        check = edge_span_claim_check(k3, zero, p5, wide, {0: 2})
+        assert len(interleaves) == built + 1
+        fresh = OrderedCliqueCover(p5, wide.cliques)
+        assert check == edge_span_claim_check(k3, zero, p5, fresh, {0: 2})
+        assert not check.vacuous
+
+
 class TestCertificateFormat:
     def test_round_trip(self):
         p3 = path_graph(3)

@@ -20,7 +20,7 @@ from ccwidth import (
     validate_cover,
 )
 from ccwidth.cli import main
-from ccwidth.generators import _cliques_of_size
+from ccwidth.generators import _count_cliques, _nth_clique
 from conftest import random_graph_corpus
 
 
@@ -101,13 +101,16 @@ class TestRandomCliqueSumInstance:
             assert cover_width(inst.c1) + cover_width(inst.c2) >= 1
 
     def test_shared_clique_candidates_in_lex_order(self):
-        # The rng picks by index into this list, so its order is pinned.
+        # The rng picks an index into this list, so its order is pinned.
         for g in random_graph_corpus("gen-cliques", 200, 0, 9):
+            full = (1 << g.n) - 1
             for k in range(5):
                 expected = [
                     c for c in itertools.combinations(range(g.n), k) if is_clique(g, c)
                 ]
-                assert _cliques_of_size(g, k) == expected
+                assert _count_cliques(g._bits, full, k) == len(expected)
+                picked = [_nth_clique(g._bits, k, i) for i in range(len(expected))]
+                assert picked == expected
 
     def test_deterministic(self):
         a = random_clique_sum_instance(random.Random("gen-det"))

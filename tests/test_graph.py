@@ -341,6 +341,13 @@ class TestEdgeListFormat:
         g = Graph(4, [(3, 2), (1, 0), (2, 0)])
         assert format_edge_list(g) == "4 3\n0 1\n0 2\n2 3\n"
 
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=0, max_n=14))
+    def test_matches_sorted_edge_oracle(self, g):
+        edges = sorted_edges(g)
+        expected = f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        assert format_edge_list(g) == expected
+
     def test_format_errors(self):
         with pytest.raises(ValueError):
             parse_edge_list("")

@@ -26,6 +26,7 @@ from conftest import (
     quotient_edges,
     random_graph_corpus,
     set_validate_cover,
+    sorted_cover,
     sorted_edges,
 )
 
@@ -263,6 +264,15 @@ class TestCoverGraph:
             assert q.edges() == quotient_edges(g, parts)
 
 
+@st.composite
+def ordered_partitions(draw, max_n=14):
+    """An ordered partition of 0..n-1: a shuffled order cut into runs."""
+    order = draw(st.permutations(range(draw(st.integers(0, max_n)))))
+    cuts = draw(st.sets(st.integers(1, max(len(order) - 1, 1))))
+    bounds = [0, *sorted(c for c in cuts if c < len(order)), len(order)]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
 class TestCoverFormat:
     def test_round_trip(self):
         g = path_graph(5)
@@ -271,6 +281,17 @@ class TestCoverFormat:
         assert text == "cover 3\n0 1\n2 3\n4\n"
         assert parse_cover(text, g) == c
         assert format_cover(parse_cover(text, g).cliques) == text
+
+    @settings(max_examples=150, deadline=None)
+    @given(ordered_partitions())
+    def test_matches_sorted_cover_oracle(self, classes):
+        # any ordered partition of a complete graph is a clique cover
+        c = OrderedCliqueCover(complete_graph(sum(map(len, classes))), classes)
+        rows = sorted_cover(c)
+        expected = f"cover {len(rows)}\n" + "".join(
+            " ".join(str(v) for v in row) + "\n" for row in rows
+        )
+        assert format_cover(c.cliques) == expected
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
