@@ -265,7 +265,7 @@ def _side_kept_order(
         start = max((quotient.degree(i) + 1) // 2 for i in range(quotient.n))
         for k in range(start, bound + 1):
             try:
-                order = _ordered_cover_within(nbrs, k, cap=1, max_failed=100_000)
+                order = _ordered_cover_within(nbrs, k, singles=True, max_failed=100_000)
             except SearchBudgetExceeded:
                 continue
             if order is not None:

@@ -44,10 +44,13 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
         raise ValueError("vertex count must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return Graph(n, edges)
+    bits = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                bits[u] |= 1 << v
+                bits[v] |= 1 << u
+    return Graph._from_bits(bits)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ With cliques of any size the first condition counts a greedy
 independent set of those neighbors instead, one per clique.
 Failed (unplaced set, window) states are memoized within one decision,
 in the style of Saxe's frontier dynamic program for small bandwidth
-(SIAM J. Alg. Disc. Meth. 1(4), 1980).  The k loop starts at
+(SIAM J. Alg. Disc. Meth. 1(4), 1980).  Each child prefix is checked,
+and looked up among the failed states, before the search descends into
+it, so a cut child costs no call.  The k loop starts at
 ceil(maxdeg / 2) for bandwidth, and for ccw at 0 when every component
 is a clique and at 1 otherwise (ccw = 0 exactly on those graphs); the
 first k that succeeds is the width, and the first cover found is the
@@ -78,46 +80,44 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
         raise ValueError("bandwidth requires at least one vertex")
     _refuse_above(g.n, limit, "bandwidth")
     start = ceil(max(bits.bit_count() for bits in g._bits) / 2)
-    value, cover = _least_width_cover(g._bits, start, cap=1)
+    value, cover = _least_width_cover(g._bits, start, singles=True)
     return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
 
 
 def _cliques_in_lex_order(
-    nbrs: Sequence[int],
-    cand: int,
-    need: int,
-    room: int,
-    clique: int = 0,
-    clique_nbrs: int = 0,
+    nbrs: Sequence[int], cand: int, need: int
 ) -> Iterator[tuple[int, int]]:
     """Cliques within ``cand`` that contain ``need``, as (mask, neighbor mask).
 
-    Extends ``clique`` by at most ``room`` vertices of ``cand`` (all
-    adjacent to every member and above its largest vertex) in increasing
-    order, yielding in preorder, which is lex order of the cliques'
-    sorted vertex tuples: (0), (0, 1), (0, 1, 2), (0, 2), (1), ...
+    Grows cliques by vertices of ``cand`` adjacent to every member and
+    above its largest vertex, in increasing order, yielding in preorder,
+    which is lex order of the cliques' sorted vertex tuples: (0), (0, 1),
+    (0, 1, 2), (0, 2), (1), ...  The stack holds, per open clique, the
+    candidates not yet tried and the needed vertices not yet in it; a
+    clique stops growing once its next candidate would skip a needed one.
     """
     if need & ~cand:
         return
-    if clique and not need:
-        yield clique, clique_nbrs
-    if not room:
-        return
-    first_need = need & -need
-    while cand:
+    stack = [(cand, need, 0, 0)] if cand else []
+    while stack:
+        cand, need, clique, clique_nbrs = stack.pop()
         low = cand & -cand
-        if need and low > first_need:
-            return  # skipping a needed vertex
+        if need and low > need & -need:
+            continue  # skipping a needed vertex
         cand ^= low
-        w = low.bit_length() - 1
-        yield from _cliques_in_lex_order(
-            nbrs,
-            cand & nbrs[w],
-            need & ~low,
-            room - 1,
-            clique | low,
-            clique_nbrs | nbrs[w],
-        )
+        if cand:
+            stack.append((cand, need, clique, clique_nbrs))
+        nb = nbrs[low.bit_length() - 1]
+        cand &= nb
+        need &= ~low
+        if need & ~cand:
+            continue
+        clique |= low
+        clique_nbrs |= nb
+        if not need:
+            yield clique, clique_nbrs
+        if cand:
+            stack.append((cand, need, clique, clique_nbrs))
 
 
 def _spread_exceeds(nbrs: Sequence[int], due: int, slots: int) -> bool:
@@ -127,8 +127,18 @@ def _spread_exceeds(nbrs: Sequence[int], due: int, slots: int) -> bool:
     a set bounds from below the cliques needed to cover ``due``.  Picks
     the vertex with the fewest neighbors left in ``due`` (lowest on
     ties) and drops it and its neighbors, until the picks plus what is
-    left cannot pass ``slots``.
+    left cannot pass ``slots``.  For one slot that is whether ``due`` is
+    not a clique (the first pick leaves something exactly then), which
+    is tested directly.
     """
+    if slots == 1:
+        rest = due
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if due & ~nbrs[low.bit_length() - 1] != low:
+                return True
+        return False
     found = 0
     while found + due.bit_count() > slots:
         if found == slots:
@@ -148,84 +158,50 @@ def _spread_exceeds(nbrs: Sequence[int], due: int, slots: int) -> bool:
 
 
 def _ordered_cover_within(
-    nbrs: Sequence[int], k: int, cap: int, max_failed: int | None = None
+    nbrs: Sequence[int], k: int, singles: bool, max_failed: int | None = None
 ) -> list[int] | None:
     """First (lex-smallest) ordered clique cover of width <= k, as bitmasks.
 
-    Cliques hold at most ``cap`` vertices: with ``cap`` 1 the cover is a
-    linear ordering and its width the ordering's bandwidth, with ``cap``
-    n the cliques are unbounded.  Builds the cover left to right.  The
-    window holds the neighbor masks of the last k cliques placed.  When a
-    new clique pushes the oldest one out, every unplaced neighbor of the
-    leaving clique must lie in the new clique; for k = 0 the new clique
-    leaves at once, so it must have no unplaced neighbors.  A clique thus
-    leaves only once all its neighbors are placed, so an unplaced vertex
-    never touches a placed one outside the window.  With bounded cliques
-    a prefix is also abandoned once, for some window entry, the unplaced
-    neighbors of that entry and all older ones together outnumber the
-    room in the cliques still to come before it leaves: the older ones
-    leave no later, so all those neighbors need places in that room.
-    Likewise once, for some d >= 2, the unplaced vertices within
-    distance d of the window along unplaced vertices outnumber the room
-    in the next d * k cliques: each step of such a path moves at most k
-    cliques on.  With unbounded cliques the first check counts a greedy
-    independent set of those neighbors against the cliques still to
-    come (:func:`_spread_exceeds`), as no clique holds two of its
-    vertices.  Each check cuts only prefixes that cannot complete.
-    Whether a prefix completes depends only on the unplaced set and the
-    window's unplaced neighbors, so failed states of that form are
-    memoized for this call, packed n bits per field into one int (the
-    nonzero unplaced set on top fixes the window's length).  More than
-    ``max_failed`` of them raise :class:`SearchBudgetExceeded`.
+    With ``singles`` every clique is one vertex, so the cover is a linear
+    ordering and its width the ordering's bandwidth; otherwise cliques
+    are unbounded.  Builds the cover left to right.  The window holds the
+    neighbor masks of the last k cliques placed.  When a new clique
+    pushes the oldest one out, every unplaced neighbor of the leaving
+    clique must lie in the new clique; for k = 0 the new clique leaves at
+    once, so it must have no unplaced neighbors.  A clique thus leaves
+    only once all its neighbors are placed, so an unplaced vertex never
+    touches a placed one outside the window.  A prefix is also abandoned
+    once, for some window entry, the unplaced neighbors of that entry and
+    all older ones need more cliques than are still to come before it
+    leaves: the older ones leave no later, so all those neighbors need
+    places in those cliques.  With one-vertex cliques each neighbor needs
+    its own; with unbounded cliques a greedy independent set of them
+    (:func:`_spread_exceeds`) does, as no clique holds two of its
+    vertices.  With one-vertex cliques a prefix is likewise abandoned
+    once, for some d >= 2, the unplaced vertices within distance d of
+    the window along unplaced vertices outnumber the next d * k places:
+    each step of such a path moves at most k places on.  Each check cuts
+    only prefixes that cannot complete.  Whether a prefix completes
+    depends only on the unplaced set and the window's unplaced
+    neighbors, so failed states of that form are memoized for this call,
+    packed n bits per field into one int (the nonzero unplaced set on
+    top fixes the window's length).  Each child state is checked and
+    looked up in the memo before the search descends into it.  More than
+    ``max_failed`` failed states raise :class:`SearchBudgetExceeded`.
     """
     n = len(nbrs)
-    bounded = cap < n
     cover: list[int] = []
     failed: set[int] = set()
 
-    def extend(unplaced: int, window: tuple[int, ...]) -> bool:
+    def extend(unplaced: int, window: tuple[int, ...], key: int) -> bool:
         if not unplaced:
             return True
-        if bounded:
-            room = (k - len(window) + 1) * cap
-            due = 0
-            for nb in window:
-                due |= nb & unplaced
-                if due.bit_count() > room:
-                    return False
-                room += cap
-            room = k * cap
-            ball = frontier = due
-            while frontier and room < unplaced.bit_count():
-                room += k * cap
-                grown = ball
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grown |= nbrs[low.bit_length() - 1]
-                frontier = grown & unplaced & ~ball
-                ball |= frontier
-                if ball.bit_count() > room:
-                    return False
-        else:
-            slots = k - len(window)
-            due = 0
-            for nb in window:
-                slots += 1
-                due |= nb & unplaced
-                if due.bit_count() > slots and _spread_exceeds(nbrs, due, slots):
-                    return False
-        key = unplaced
-        for nb in window:
-            key = key << n | nb & unplaced
-        if key in failed:
-            return False
         leaving = 1 if k and len(window) == k else 0
         need = window[0] & unplaced if leaving else 0
-        if cap == 1:
+        if singles:
             # One-vertex cliques skip the generator.  A needed vertex is the
-            # only candidate: the fit check above already cut every window
-            # whose leaving entry has two or more unplaced neighbors.
+            # only candidate: the fit check already cut every window whose
+            # leaving entry has two or more unplaced neighbors.
             candidates = []
             pick = need or unplaced
             while pick:
@@ -233,7 +209,7 @@ def _ordered_cover_within(
                 pick ^= low
                 candidates.append((low, nbrs[low.bit_length() - 1]))
         else:
-            candidates = _cliques_in_lex_order(nbrs, unplaced, need, cap)
+            candidates = _cliques_in_lex_order(nbrs, unplaced, need)
         for clique, clique_nbrs in candidates:
             rest = unplaced & ~clique
             if k:
@@ -242,22 +218,54 @@ def _ordered_cover_within(
                 continue
             else:
                 after = ()
-            cover.append(clique)
-            if extend(rest, after):
-                return True
-            cover.pop()
+            # Check the child (rest, after) before descending: the fit
+            # check, then with one-vertex cliques the distance check, then
+            # the memo.  A break out of either loop cuts the child.
+            slots = k - len(after)
+            due = 0
+            for nb in after:
+                due |= nb & rest
+                slots += 1
+                if due.bit_count() > slots and (
+                    singles or _spread_exceeds(nbrs, due, slots)
+                ):
+                    break
+            else:
+                room = k
+                ball = frontier = due if singles else 0
+                while frontier and room < rest.bit_count():
+                    room += k
+                    grown = ball
+                    while frontier:
+                        low = frontier & -frontier
+                        frontier ^= low
+                        grown |= nbrs[low.bit_length() - 1]
+                    frontier = grown & rest & ~ball
+                    ball |= frontier
+                    if ball.bit_count() > room:
+                        break
+                else:
+                    child = rest
+                    for nb in after:
+                        child = child << n | nb & rest
+                    if child not in failed:
+                        cover.append(clique)
+                        if extend(rest, after, child):
+                            return True
+                        cover.pop()
         if len(failed) == max_failed:
             raise SearchBudgetExceeded
         failed.add(key)
         return False
 
-    if extend((1 << n) - 1, ()):
+    full = (1 << n) - 1
+    if extend(full, (), full):
         return cover
     return None
 
 
 def _least_width_cover(
-    nbrs: Sequence[int], start: int, cap: int, stop: int | None = None
+    nbrs: Sequence[int], start: int, singles: bool, stop: int | None = None
 ) -> tuple[int, list[int] | None]:
     """Least k >= start with an ordered cover of width <= k, and that cover.
 
@@ -267,7 +275,7 @@ def _least_width_cover(
     """
     k = start
     try:
-        while k != stop and (cover := _ordered_cover_within(nbrs, k, cap)) is None:
+        while k != stop and (cover := _ordered_cover_within(nbrs, k, singles)) is None:
             k += 1
     except RecursionError:  # the search recurses once per clique placed
         raise _too_deep(len(nbrs)) from None
@@ -288,7 +296,7 @@ def _ccw_between(
     closed = [bits | 1 << v for v, bits in enumerate(g._bits)]
     cluster = all(c == closed[(c & -c).bit_length() - 1] for c in closed)
     start = max(low, 0 if cluster else 1)
-    value, cover = _least_width_cover(g._bits, start, g.n, high)
+    value, cover = _least_width_cover(g._bits, start, singles=False, stop=high)
     return value, None if cover is None else OrderedCliqueCover._from_masks(g, cover)
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccwidth import (
+    ExperimentConfig,
     Graph,
     OrderedCliqueCover,
     SpanCheck,
@@ -24,6 +25,7 @@ from ccwidth import (
     path_graph,
     path_sum_instance,
     random_clique_sum_instance,
+    run_experiment,
     sequence_width,
     star_graph,
     validate_cover,
@@ -40,6 +42,7 @@ from conftest import (
     iter_clique_partitions,
     quotient_edges,
     scan_insertion,
+    sorted_cover,
     wide_side_sum,
     zip_interleaved_sequence,
 )
@@ -171,6 +174,25 @@ class TestComposeCoversExamples:
             assert (cert.bound > ceil_three_halves(cert.w1 + cert.w2)) == adjusted
             assert cert.achieved <= cert.bound
             assert verify_certificate(cert).ok
+
+    def test_seed_one_row_353_attains_the_bound(self):
+        # Row 353 of the seed-1 experiment at ccw limit 16 glues two
+        # width-1 sides into a sum of ccw 3 = ceil(3/2 * (1 + 1)), so the
+        # bound is tight there.  The sum has 13 vertices, above the
+        # default ccw limit of 9, so its lex-min witness is pinned here.
+        cfg = ExperimentConfig(seed=1, ccw_limit=16, count=354)
+        assert run_experiment(cfg).splitlines()[-1] == "7,8,2,1,1,3,3,3,pass,ok"
+        rng = random.Random("ccwidth-experiment-1-353")
+        inst = random_clique_sum_instance(rng, min_total_width=1, ccw_limit=16)
+        assert (inst.g1.n, inst.g2.n, inst.shared) == (7, 8, {1: 5, 4: 1})
+        cert = compose_covers(inst.g1, inst.c1, inst.g2, inst.c2, inst.shared)
+        assert (cert.w1, cert.w2, cert.achieved, cert.bound) == (1, 1, 3, 3)
+        assert (cert.graph.n, len(cert.graph.edges())) == (13, 34)
+        r = ccw_exact(cert.graph, limit=16)
+        assert r.value == 3
+        assert sorted_cover(r.witness) == (
+            (0,), (2,), (1, 7), (3, 4), (8,), (9, 10, 11, 12), (5, 6)
+        )
 
     def test_empty_shared_concatenates(self):
         p3 = path_graph(3)

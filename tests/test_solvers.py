@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccwidth import (
     Graph,
@@ -23,7 +24,12 @@ from ccwidth import (
     star_number,
     validate_cover,
 )
-from ccwidth.solvers import SearchBudgetExceeded, _ordered_cover_within
+from ccwidth.solvers import (
+    SearchBudgetExceeded,
+    _cliques_in_lex_order,
+    _ordered_cover_within,
+    _spread_exceeds,
+)
 from conftest import (
     all_labeled_graphs,
     brute_bandwidth,
@@ -33,6 +39,7 @@ from conftest import (
     feasible_ordering,
     graphs,
     iter_clique_partitions,
+    lex_cliques,
     random_graph_corpus,
     sorted_cover,
     unpruned_ccw,
@@ -107,7 +114,7 @@ def _decide_every_k(g):
     """Check the bounded search against the DFS oracle at each k in 0..n-1."""
     nbrs = [g.neighbor_bits(v) for v in range(g.n)]
     for k in range(g.n):
-        cover = _ordered_cover_within(nbrs, k, cap=1)
+        cover = _ordered_cover_within(nbrs, k, singles=True)
         order = None if cover is None else [m.bit_length() - 1 for m in cover]
         assert order == feasible_ordering(g, k), (g.edges(), k)
 
@@ -131,10 +138,12 @@ def test_failed_state_cap():
     # cuts it and the root is the first failed state memoized.
     g = complete_graph(5)
     nbrs = [g.neighbor_bits(v) for v in range(g.n)]
-    assert _ordered_cover_within(nbrs, 1, cap=1) is None
+    assert _ordered_cover_within(nbrs, 1, singles=True) is None
     with pytest.raises(SearchBudgetExceeded):
-        _ordered_cover_within(nbrs, 1, cap=1, max_failed=0)
-    assert _ordered_cover_within(nbrs, 4, cap=1, max_failed=0) == [1, 2, 4, 8, 16]
+        _ordered_cover_within(nbrs, 1, singles=True, max_failed=0)
+    assert _ordered_cover_within(
+        nbrs, 4, singles=True, max_failed=0
+    ) == [1, 2, 4, 8, 16]
 
 
 class TestIterCliquePartitions:
@@ -233,9 +242,89 @@ def test_ccw_decisions_match_unpruned_search_at_every_k():
     for g in random_graph_corpus("ccw-decide", 200, 6, 11):
         nbrs = [g.neighbor_bits(v) for v in range(g.n)]
         for k in range(g.n):
-            assert _ordered_cover_within(nbrs, k, cap=g.n) == unpruned_cover_within(
-                nbrs, k
-            ), (g.edges(), k)
+            assert _ordered_cover_within(
+                nbrs, k, singles=False
+            ) == unpruned_cover_within(nbrs, k), (g.edges(), k)
+
+
+def _submasks(mask):
+    """Every mask inside ``mask``, ``mask`` itself first and 0 last."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+def _check_cliques_in_lex_order(g, cand, need):
+    nbrs = tuple(g.neighbor_bits(v) for v in range(g.n))
+    expected = [
+        (mask, clique_nbrs)
+        for mask, clique_nbrs in lex_cliques(nbrs)
+        if not mask & ~cand and not need & ~mask
+    ]
+    found = list(_cliques_in_lex_order(nbrs, cand, need))
+    assert found == expected, (g.edges(), cand, need)
+
+
+def test_cliques_in_lex_order_exhaustive_up_to_four():
+    for n in range(5):
+        for g in all_labeled_graphs(n):
+            for cand in range(1 << n):
+                for need in _submasks(cand):
+                    _check_cliques_in_lex_order(g, cand, need)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_cliques_in_lex_order_matches_oracle(g, data):
+    cand = data.draw(st.integers(0, (1 << g.n) - 1))
+    need = cand & data.draw(st.integers(0, (1 << g.n) - 1))
+    _check_cliques_in_lex_order(g, cand, need)
+
+
+def _check_spread(g, due):
+    """One slot: "not a clique".  More: only above the independence number."""
+    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    members = [v for v in range(g.n) if due >> v & 1]
+    clique = all(nbrs[u] >> v & 1 for u, v in itertools.combinations(members, 2))
+    assert _spread_exceeds(nbrs, due, 1) == (not clique), (g.edges(), due)
+    alpha = max(
+        sub.bit_count()
+        for sub in _submasks(due)
+        if not any(sub >> v & 1 and nbrs[v] & sub for v in members)
+    )
+    for slots in (2, 3):
+        if _spread_exceeds(nbrs, due, slots):
+            assert alpha > slots, (g.edges(), due, slots)
+
+
+def test_spread_exceeds_exhaustive_up_to_four():
+    for n in range(1, 5):
+        for g in all_labeled_graphs(n):
+            for due in range(1 << n):
+                _check_spread(g, due)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_spread_exceeds_bounds_the_independence_number(g, data):
+    _check_spread(g, data.draw(st.integers(0, (1 << g.n) - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_widths_survive_relabelling(g, data):
+    # A new labelling makes the search try its candidates in another order.
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    results = []
+    for x in (g, h):
+        bw, ccw = bandwidth_exact(x), ccw_exact(x)
+        assert ordering_width(x, bw.witness) == bw.value
+        assert cover_width(ccw.witness) == ccw.value
+        results.append((bw.value, ccw.value))
+    assert results[0] == results[1], (g.edges(), perm)
 
 
 @pytest.mark.parametrize(
