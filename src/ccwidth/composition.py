@@ -31,9 +31,10 @@ edges that cross it and the edges of the new clique.
 When even the best insertion misses the bound, this route and the
 width-0 one below share one fallback (``_side_kept_order``): keep S in
 side 1's own cliques, then in side 2's, order each set by the least
-width up to the bound that a capped bandwidth search on its quotient
-reaches, and take the narrower order, side 1 on ties.  If neither fits,
-compose raises.
+bandwidth of its quotient up to the bound, and take the narrower order,
+side 1 on ties.  The solvers' one k loop finds that order; it owns the
+start, the failed-state budget (a decision that runs out counts as
+failed) and the recursion guard.  If neither set fits, compose raises.
 
 Degenerate widths take documented detours:
 
@@ -83,7 +84,7 @@ from .layout import (
     read_cover,
     validate_cover,
 )
-from .solvers import SearchBudgetExceeded, _ordered_cover_within
+from .solvers import _least_width_cover
 
 
 def ceil_three_halves(x: int) -> int:
@@ -168,7 +169,7 @@ def sequence_width(g: Graph, cliques: Sequence[frozenset[int]]) -> int:
     an entry.
     """
     # an uncovered endpoint fails the subtraction instead of reading 0
-    return index_width(g, _clique_index(g.n, cliques, None))
+    return index_width(g, _clique_index(g.n, cliques))
 
 
 def _best_insertion(
@@ -247,10 +248,10 @@ def _side_kept_order(
 
     Keeps the shared vertices in side 1's own cliques (deleting them from
     side 2's), then the reverse; each is a clique partition of ``g``.
-    Ordering a set is a bandwidth decision on its quotient graph, tried
-    for k = ceil(maxdeg / 2) up to ``bound`` with a capped search (one
-    that runs out of budget counts as failed).  Returns the order of the
-    least k, side 1 on ties, or raises ``ValueError`` if neither fits.
+    Ordering a set is a bandwidth search on its quotient graph, with k
+    up to ``bound`` and at most 100,000 failed states per decision.
+    Returns the order of the least k, side 1 on ties, or raises
+    ``ValueError`` if neither fits or a quotient is too deep to search.
     """
     best = None
     for keep in (0, 1):
@@ -261,17 +262,12 @@ def _side_kept_order(
         ]
         cliques = [cl for cl in cliques if cl]
         quotient = cover_graph(OrderedCliqueCover(g, cliques))
-        nbrs = [quotient.neighbor_bits(i) for i in range(quotient.n)]
-        start = max((quotient.degree(i) + 1) // 2 for i in range(quotient.n))
-        for k in range(start, bound + 1):
-            try:
-                order = _ordered_cover_within(nbrs, k, singles=True, max_failed=100_000)
-            except SearchBudgetExceeded:
-                continue
-            if order is not None:
-                best = [cliques[m.bit_length() - 1] for m in order]
-                bound = k - 1  # side 2 has to be strictly narrower
-                break
+        k, order = _least_width_cover(
+            quotient._bits, True, stop=bound + 1, max_failed=100_000
+        )
+        if order is not None:
+            best = [cliques[m.bit_length() - 1] for m in order]
+            bound = k - 1  # side 2 has to be strictly narrower
     if best is None:
         raise ValueError(
             f"composition missed its bound: achieved {width} > bound {bound}"

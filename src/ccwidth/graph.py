@@ -58,10 +58,6 @@ class Graph:
         g.n, g._bits = len(bits), tuple(bits)
         return g
 
-    def neighbor_bits(self, v: int) -> int:
-        """Neighborhood of v as a bitmask (bit w set iff vw is an edge)."""
-        return self._bits[v]
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self._bits[v].bit_count()

@@ -191,11 +191,9 @@ class OrderedCliqueCover:
         return f"OrderedCliqueCover({[sorted(c) for c in self.cliques]})"
 
 
-def _clique_index(
-    n: int, cliques: Iterable[Iterable[int]], missing: int | None = 0
-) -> list:
-    """Each vertex's position in ``cliques``, ``missing`` for one in none."""
-    index_of = [missing] * n
+def _clique_index(n: int, cliques: Iterable[Iterable[int]]) -> list:
+    """Each vertex's position in ``cliques``, None for one in none."""
+    index_of: list = [None] * n
     for idx, cl in enumerate(cliques):
         for v in cl:
             index_of[v] = idx

@@ -19,13 +19,14 @@ Failed (unplaced set, window) states are memoized within one decision,
 in the style of Saxe's frontier dynamic program for small bandwidth
 (SIAM J. Alg. Disc. Meth. 1(4), 1980).  Each child prefix is checked,
 and looked up among the failed states, before the search descends into
-it, so a cut child costs no call.  The k loop starts at
-ceil(maxdeg / 2) for bandwidth, and for ccw at 0 when every component
-is a clique and at 1 otherwise (ccw = 0 exactly on those graphs); the
-first k that succeeds is the width, and the first cover found is the
-lexicographically smallest optimal ordering or cover, so results are
-deterministic.  A caller holding bounds on ccw (an experiment row does)
-decides only the k between them.  Witnesses are built from the bitmasks.
+it, so a cut child costs no call.  One loop over k serves every caller.
+It starts at ceil(maxdeg / 2) for bandwidth, and for ccw at 0 when every
+component is a clique and at 1 otherwise (ccw = 0 exactly on those
+graphs), or at a caller's known lower end; it stops below a caller's
+bound, and counts a decision that runs out of its failed-state budget
+as failed.  The first k that succeeds is the width, and the first cover
+found is the lexicographically smallest optimal ordering or cover, so
+results are deterministic.  Witnesses are built from the bitmasks.
 
 Both solvers refuse graphs above a documented size limit unless the
 caller overrides it explicitly.
@@ -79,8 +80,7 @@ def bandwidth_exact(g: Graph, limit: int | None = DEFAULT_BW_LIMIT) -> Bandwidth
     if g.n < 1:
         raise ValueError("bandwidth requires at least one vertex")
     _refuse_above(g.n, limit, "bandwidth")
-    start = ceil(max(bits.bit_count() for bits in g._bits) / 2)
-    value, cover = _least_width_cover(g._bits, start, singles=True)
+    value, cover = _least_width_cover(g._bits, True)
     return BandwidthResult(value, LinearOrdering([m.bit_length() - 1 for m in cover]))
 
 
@@ -265,39 +265,39 @@ def _ordered_cover_within(
 
 
 def _least_width_cover(
-    nbrs: Sequence[int], start: int, singles: bool, stop: int | None = None
+    nbrs: Sequence[int],
+    singles: bool,
+    low: int = 0,
+    stop: int | None = None,
+    max_failed: int | None = None,
 ) -> tuple[int, list[int] | None]:
-    """Least k >= start with an ordered cover of width <= k, and that cover.
+    """Least k >= ``low`` with an ordered cover of width <= k, and that cover.
 
-    With ``stop``, k stays below it: (stop, None) when no k in
-    [start, stop) succeeds, which is how a caller that already holds a
-    cover of width ``stop`` skips deciding it.
+    Starts as the module docstring says, or at ``low`` when that is
+    higher.  With ``stop``, k stays below it: (stop, None) when no k in
+    that range succeeds, which is how a caller that already holds a
+    cover of width ``stop`` skips deciding it.  A decision that memoizes
+    more than ``max_failed`` failed states counts as failed.
     """
-    k = start
-    try:
-        while k != stop and (cover := _ordered_cover_within(nbrs, k, singles)) is None:
-            k += 1
-    except RecursionError:  # the search recurses once per clique placed
-        raise _too_deep(len(nbrs)) from None
-    return k, None if k == stop else cover
-
-
-def _ccw_between(
-    g: Graph, low: int = 0, high: int | None = None
-) -> tuple[int, OrderedCliqueCover | None]:
-    """ccw(g) and its witness, deciding only k from ``low`` up to below ``high``.
-
-    The caller vouches that low <= ccw(g) and, given ``high``, that
-    ccw(g) <= high.  The witness is None when no k below ``high``
-    succeeds, and the value is then ``high``.
-    """
-    # ccw = 0 exactly when every component is a clique, that is when each
-    # closed neighborhood equals that of the least vertex in it.
-    closed = [bits | 1 << v for v, bits in enumerate(g._bits)]
-    cluster = all(c == closed[(c & -c).bit_length() - 1] for c in closed)
-    start = max(low, 0 if cluster else 1)
-    value, cover = _least_width_cover(g._bits, start, singles=False, stop=high)
-    return value, None if cover is None else OrderedCliqueCover._from_masks(g, cover)
+    if singles:
+        start = (max(bits.bit_count() for bits in nbrs) + 1) // 2
+    else:
+        # every component is a clique when each closed neighborhood equals
+        # that of the least vertex in it
+        closed = [bits | 1 << v for v, bits in enumerate(nbrs)]
+        start = 0 if all(c == closed[(c & -c).bit_length() - 1] for c in closed) else 1
+    k = max(low, start)
+    while stop is None or k < stop:
+        try:
+            cover = _ordered_cover_within(nbrs, k, singles, max_failed)
+        except SearchBudgetExceeded:
+            cover = None
+        except RecursionError:  # the search recurses once per clique placed
+            raise _too_deep(len(nbrs)) from None
+        if cover is not None:
+            return k, cover
+        k += 1
+    return stop, None
 
 
 def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
@@ -313,7 +313,8 @@ def ccw_exact(g: Graph, limit: int | None = DEFAULT_CCW_LIMIT) -> CcwResult:
     if g.n < 1:
         raise ValueError("clique cover width requires at least one vertex")
     _refuse_above(g.n, limit, "clique-cover")
-    return CcwResult(*_ccw_between(g))
+    value, cover = _least_width_cover(g._bits, False)
+    return CcwResult(value, OrderedCliqueCover._from_masks(g, cover))
 
 
 @dataclass(frozen=True)

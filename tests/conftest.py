@@ -166,7 +166,7 @@ def iter_clique_partitions(g: Graph) -> Iterator[list[list[int]]]:
         if v == n:
             yield [list(cl) for cl in classes]
             return
-        vbits = g.neighbor_bits(v)
+        vbits = g._bits[v]
         for i in range(len(classes)):
             if class_bits[i] & ~vbits:
                 continue  # v is not adjacent to some member
@@ -268,7 +268,7 @@ def quotient_edges(g: Graph, classes: list[list[int]]) -> list[tuple[int, int]]:
     for cl in classes:
         acc = 0
         for v in cl:
-            acc |= g.neighbor_bits(v)
+            acc |= g._bits[v]
         nbr.append(acc)
     edges = []
     for i in range(len(classes)):
@@ -381,7 +381,7 @@ def unpruned_cover_within(nbrs: list[int], k: int) -> list[int] | None:
 
 def unpruned_ccw(g: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """ccw and the lex-smallest optimal cover, deciding k = 0, 1, ... unpruned."""
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    nbrs = g._bits
     k = 0
     while (cover := unpruned_cover_within(nbrs, k)) is None:
         k += 1
@@ -440,7 +440,7 @@ def sorted_edges(g: Graph) -> list[tuple[int, int]]:
     return [
         (u, v)
         for u, v in itertools.combinations(range(g.n), 2)
-        if g.neighbor_bits(u) >> v & 1
+        if g._bits[u] >> v & 1
     ]
 
 

@@ -1,9 +1,12 @@
 import io
+import random
 
 import pytest
 
 from ccwidth import (
+    CliqueSumInstance,
     ExperimentConfig,
+    Graph,
     OrderedCliqueCover,
     compose_covers,
     edge_span_claim_check,
@@ -15,9 +18,9 @@ from ccwidth import (
     run_experiment,
     star_graph,
 )
-from ccwidth.cli import main
+from ccwidth.cli import _format_instance, main
 from ccwidth.graph import MAX_VERTICES
-from conftest import wide_side_sum
+from conftest import band_sum_instance, wide_side_sum
 
 
 def run_cli(args, stdin_text=None, capsys=None, monkeypatch=None):
@@ -211,6 +214,29 @@ class TestSearchDepth:
             ["star", "-"], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch
         )
         assert result == (1, "", self.ERROR)
+
+    def test_compose_fallback_on_long_tails(self, capsys, monkeypatch):
+        # Each side is a width-1 band sum side with a 700-vertex path hung
+        # off the least vertex of its last clique, covered by one singleton
+        # per path vertex.  The insertion misses the bound, and the
+        # fallback's quotient has one vertex per clique: 1,420 of them.
+        inst = band_sum_instance(random.Random("small-6"), 6, 14, 1)
+        sides = []
+        for g, c in ((inst.g1, inst.c1), (inst.g2, inst.c2)):
+            v, n = min(c.cliques[-1]), g.n
+            tail = [(v, n)] + [(n + i, n + i + 1) for i in range(699)]
+            h = Graph(n + 700, g.edges() + tail)
+            cliques = [*c.cliques, *({n + i} for i in range(700))]
+            sides += [h, OrderedCliqueCover(h, cliques)]
+        text = _format_instance(CliqueSumInstance(*sides, inst.shared))
+        result = run_cli(
+            ["compose", "--instance", "-"],
+            stdin_text=text,
+            capsys=capsys,
+            monkeypatch=monkeypatch,
+        )
+        error = "graph has 1420 vertices, beyond the exact search's recursion depth"
+        assert result == (1, "", f"error: {error}\n")
 
     def test_experiment_marks_row_skipped(self, capsys):
         code, out, _ = run_cli(

@@ -346,7 +346,7 @@ class TestSideKeptFallback:
             raise AssertionError("searched although the insertion fit")
 
         monkeypatch.setattr(ccwidth.composition, "_best_insertion", insertion)
-        monkeypatch.setattr(ccwidth.composition, "_ordered_cover_within", search)
+        monkeypatch.setattr(ccwidth.composition, "_least_width_cover", search)
         for inst in _instances("fits", 60):
             placed.clear()
             cert = _compose(inst)

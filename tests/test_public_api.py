@@ -82,3 +82,22 @@ def test_every_export_has_a_caller():
         if name not in used and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == []
+
+
+def test_only_the_solvers_name_the_decision_search():
+    """The k loop is the one caller of a decision and of its budget error.
+
+    Every name, attribute and imported name in the AST of the other
+    library modules counts, so a second loop over k cannot come back.
+    """
+    search = {"_ordered_cover_within", "SearchBudgetExceeded"}
+    for path in sorted((ROOT / "src" / "ccwidth").glob("*.py")):
+        if path.name == "solvers.py":
+            continue
+        names = {
+            getattr(node, field)
+            for node in ast.walk(ast.parse(path.read_text()))
+            for field in ("id", "attr", "name")
+            if isinstance(getattr(node, field, None), str)
+        }
+        assert sorted(names & search) == [], path.name

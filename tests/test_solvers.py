@@ -24,9 +24,11 @@ from ccwidth import (
     star_number,
     validate_cover,
 )
+import ccwidth.solvers
 from ccwidth.solvers import (
     SearchBudgetExceeded,
     _cliques_in_lex_order,
+    _least_width_cover,
     _ordered_cover_within,
     _spread_exceeds,
 )
@@ -112,7 +114,7 @@ def test_bandwidth_matches_dfs_above_ten_vertices(n):
 
 def _decide_every_k(g):
     """Check the bounded search against the DFS oracle at each k in 0..n-1."""
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    nbrs = g._bits
     for k in range(g.n):
         cover = _ordered_cover_within(nbrs, k, singles=True)
         order = None if cover is None else [m.bit_length() - 1 for m in cover]
@@ -132,18 +134,36 @@ class TestDecisionsAtEveryK:
             _decide_every_k(g)
 
 
-def test_failed_state_cap():
+def test_failed_state_cap(monkeypatch):
     # K5 has bandwidth 4: at k = 1 each one-vertex start leaves 4 unplaced
     # neighbors with one place before its window closes, so the fit check
     # cuts it and the root is the first failed state memoized.
     g = complete_graph(5)
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    nbrs = g._bits
     assert _ordered_cover_within(nbrs, 1, singles=True) is None
     with pytest.raises(SearchBudgetExceeded):
         _ordered_cover_within(nbrs, 1, singles=True, max_failed=0)
     assert _ordered_cover_within(
         nbrs, 4, singles=True, max_failed=0
     ) == [1, 2, 4, 8, 16]
+    # The k loop starts at ceil(4 / 2) = 2; k = 2 and 3 run out of budget,
+    # which counts as failed, and k = 4 fits.
+    decided = []
+
+    def decide(nbrs, k, *args):
+        decided.append(k)
+        return _ordered_cover_within(nbrs, k, *args)
+
+    monkeypatch.setattr(ccwidth.solvers, "_ordered_cover_within", decide)
+    assert _least_width_cover(nbrs, True, max_failed=0) == (4, [1, 2, 4, 8, 16])
+    assert decided == [2, 3, 4]
+    decided.clear()
+    assert _least_width_cover(nbrs, True, 3) == (4, [1, 2, 4, 8, 16])
+    assert decided == [3, 4]
+    assert _least_width_cover(nbrs, True, stop=4, max_failed=0) == (4, None)
+    decided.clear()
+    assert _least_width_cover(nbrs, True, stop=1) == (1, None)
+    assert decided == []
 
 
 class TestIterCliquePartitions:
@@ -240,7 +260,7 @@ def test_ccw_matches_unpruned_search(g):
 def test_ccw_decisions_match_unpruned_search_at_every_k():
     """Both sides of each unbounded decision, also for k above the ccw."""
     for g in random_graph_corpus("ccw-decide", 200, 6, 11):
-        nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+        nbrs = g._bits
         for k in range(g.n):
             assert _ordered_cover_within(
                 nbrs, k, singles=False
@@ -257,7 +277,7 @@ def _submasks(mask):
 
 
 def _check_cliques_in_lex_order(g, cand, need):
-    nbrs = tuple(g.neighbor_bits(v) for v in range(g.n))
+    nbrs = g._bits
     expected = [
         (mask, clique_nbrs)
         for mask, clique_nbrs in lex_cliques(nbrs)
@@ -285,7 +305,7 @@ def test_cliques_in_lex_order_matches_oracle(g, data):
 
 def _check_spread(g, due):
     """One slot: "not a clique".  More: only above the independence number."""
-    nbrs = [g.neighbor_bits(v) for v in range(g.n)]
+    nbrs = g._bits
     members = [v for v in range(g.n) if due >> v & 1]
     clique = all(nbrs[u] >> v & 1 for u, v in itertools.combinations(members, 2))
     assert _spread_exceeds(nbrs, due, 1) == (not clique), (g.edges(), due)
